@@ -1,4 +1,4 @@
-"""Native kernel tier benchmark: C delta-stepping + C pack decode.
+"""Native kernel tier benchmark: C delta-stepping + C table codec.
 
 The tentpole claims of the native tier, measured as engine-vs-engine
 races with bit-identical results:
@@ -9,9 +9,12 @@ races with bit-identical results:
    delta-stepping batch engine in C) vs ``REPRO_KERNEL=numpy`` (the
    vectorised bucket pipeline).  Gate: >= 2x, identical balls and radii.
 2. **Cold pack decode** — every payload of a *real* ``thm11`` packed
-   shard deployment decoded through the native scanner
-   (:func:`~repro.routing.shard_codec.decode_node_table_fast`) vs the
-   pure decoder.  Gate: >= 1.5x, identical tables.
+   shard deployment decoded through the C table decoder
+   (:func:`~repro.routing.shard_codec.decode_node_table_fast` under
+   ``REPRO_KERNEL=native``) vs the pure decoder.  Gate: >= 1.5x,
+   identical tables.  The same case races the C table encoder
+   (:func:`~repro.routing.shard_codec.encode_node_table`) against the
+   pure encoder on the deployment's records, asserting identical bytes.
 
 Results land in the ``native`` key of ``BENCH_kernel.json`` (full runs
 only; ``REPRO_BENCH_SMOKE=1`` shrinks sizes and skips the write), along
@@ -42,12 +45,13 @@ from repro.graph.shortest_paths import all_balls
 from repro.routing.shard_codec import (
     decode_node_table,
     decode_node_table_fast,
+    encode_node_table,
     iter_pack_entries,
 )
 
 from conftest import SMOKE, merge_bench_results, smoke_scale
 
-SECTION = "Native kernel tier: C delta-stepping + C pack decode"
+SECTION = "Native kernel tier: C delta-stepping + C table codec"
 
 RESULT_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_kernel.json"
@@ -143,7 +147,7 @@ def _pack_payloads(shard_dir: str) -> list:
 
 
 def run_decode(n: int) -> dict:
-    """Cold pack decode: native scanner vs pure decoder, real scheme."""
+    """Cold pack decode (and encode): C codec vs pure codec, real scheme."""
     g = with_random_weights(erdos_renyi(n, 7.0 / (n - 1), seed=71), seed=72)
     session = build(SCHEME, g, seed=7)
     workdir = tempfile.mkdtemp(prefix="repro-native-bench-")
@@ -154,15 +158,24 @@ def run_decode(n: int) -> dict:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     assert payloads, "packed deployment produced no payloads"
+    records = session.scheme.compile_tables()
 
     pure = [decode_node_table(p) for p in payloads]
     t_pure = _best_of(lambda: [decode_node_table(p) for p in payloads])
+    with _kernel_mode("numpy"):
+        blobs = [encode_node_table(r) for r in records]
+        t_enc_pure = _best_of(lambda: [encode_node_table(r) for r in records])
     with _kernel_mode("native"):
         fast = [decode_node_table_fast(p) for p in payloads]
         t_native = _best_of(
             lambda: [decode_node_table_fast(p) for p in payloads]
         )
+        fast_blobs = [encode_node_table(r) for r in records]
+        t_enc_native = _best_of(
+            lambda: [encode_node_table(r) for r in records]
+        )
     assert fast == pure, "native pack decode diverges from the pure decoder"
+    assert fast_blobs == blobs, "native encode diverges from the pure encoder"
     out = {
         "scheme": SCHEME,
         "n": n,
@@ -174,6 +187,11 @@ def run_decode(n: int) -> dict:
             round(t_pure / t_native, 2) if t_native > 0 else None
         ),
         "identical": True,
+        "encode_pure_s": round(t_enc_pure, 4),
+        "encode_native_s": round(t_enc_native, 4),
+        "encode_speedup": (
+            round(t_enc_pure / t_enc_native, 2) if t_enc_native > 0 else None
+        ),
     }
     _RESULTS.setdefault("native", {})["pack_decode"] = out
     return out
@@ -183,13 +201,20 @@ def _flush(smoke: bool) -> None:
     if smoke or not _RESULTS:
         return
     section = _RESULTS.setdefault("native", {})
-    section["status"] = native.native_status()
+    status = native.native_status()
+    if status["library"] is not None:
+        # the library's name (source hash + interpreter ABI), not the
+        # host-specific cache directory it was found in
+        status["library"] = os.path.basename(status["library"])
+    section["status"] = status
     section["workload"] = (
         "delta: all_balls(with_radii) on erdos_renyi(n, 8/(n-1), seed=7) "
         "+ random weights, ell = ceil(sqrt(n log2 n)), REPRO_KERNEL="
         "native vs numpy, best of 3; decode: every payload of a packed "
-        f"{SCHEME} deployment, decode_node_table_fast (native scanner) "
-        "vs decode_node_table (pure), best of 3"
+        f"{SCHEME} deployment, decode_node_table_fast under REPRO_KERNEL="
+        "native (C table decoder) vs decode_node_table (pure), best of 3; "
+        "encode: encode_node_table over the same records, REPRO_KERNEL="
+        "native (C table encoder) vs numpy (pure encoder), best of 3"
     )
     merge_bench_results(RESULT_PATH, {"native": section})
 
@@ -224,7 +249,10 @@ def test_native_decode_speedup(report, bench_scale):
         f"pack decode {out['scheme']} n={out['n']} "
         f"({out['payloads']} payloads, {out['bytes']} bytes): pure "
         f"{out['pure_s']*1000:.0f} ms -> native "
-        f"{out['native_s']*1000:.0f} ms ({out['speedup']}x, identical)"
+        f"{out['native_s']*1000:.0f} ms ({out['speedup']}x, identical); "
+        f"encode {out['encode_pure_s']*1000:.0f} ms -> "
+        f"{out['encode_native_s']*1000:.0f} ms "
+        f"({out['encode_speedup']}x, identical)"
     )
     if not SMOKE:
         assert out["speedup"] >= 1.5, out
@@ -252,7 +280,9 @@ def main() -> None:
         f"pack_decode[{decode['scheme']}] n={decode['n']} "
         f"payloads={decode['payloads']}: pure {decode['pure_s']:.3f}s -> "
         f"native {decode['native_s']:.3f}s => {decode['speedup']}x "
-        f"(identical)"
+        f"(identical); encode: pure {decode['encode_pure_s']:.3f}s -> "
+        f"native {decode['encode_native_s']:.3f}s => "
+        f"{decode['encode_speedup']}x (identical)"
     )
     _flush(SMOKE)
     if not SMOKE:

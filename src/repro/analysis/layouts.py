@@ -47,10 +47,6 @@ DECLARED_LAYOUTS: LayoutTable = {
             "_T_TUPLE": 0x06,
             "_T_LIST": 0x07,
             "_T_DICT": 0x08,
-            # native-scanner token-stream contract (decode_node_table_fast):
-            # mirrored by RT_T_COUNT / STR_OFFSET_BITS in _kernels.c
-            "_T_COUNT": 0xF1,
-            "_STR_OFFSET_BITS": 40,
         },
         "structs": {
             "_PACK_ENTRY": "<IQI",
@@ -60,7 +56,7 @@ DECLARED_LAYOUTS: LayoutTable = {
             "_DOUBLE": "<d",
         },
     },
-    # the native scanner's mirror of the shard_codec.py layout above:
+    # the native codec's mirror of the shard_codec.py layout above:
     # CODEC001's text mode parses these as `#define NAME VALUE` lines,
     # so C-side drift from the committed wire format fails the gate the
     # same way Python-side drift does (RT_MAGIC_0/1 are the bytes of
@@ -80,11 +76,6 @@ DECLARED_LAYOUTS: LayoutTable = {
             "RT_T_TUPLE": 0x06,
             "RT_T_LIST": 0x07,
             "RT_T_DICT": 0x08,
-            # pseudo-tag of the token stream (never in shard bytes) and
-            # the aux-word split of the string tokens — both halves of
-            # the scanner/assembler contract with shard_codec.py
-            "RT_T_COUNT": 0xF1,
-            "STR_OFFSET_BITS": 40,
         },
         "structs": {},
     },

@@ -502,16 +502,17 @@ class ResourceHygieneRule(Rule):
     resource's lifetime and the leak tests can see it).  Shared-memory
     segments leak *kernel* objects in ``/dev/shm``, not just fds, so an
     unowned one outlives the process.  The native tier adds two more
-    raw-resource kinds: ``ctypes.CDLL`` handles (a loaded library stays
-    mapped until the handle dies — ``NativeKernels`` owns it behind
-    ``close()``) and compile temporary directories
+    raw-resource kinds: ``ctypes.CDLL`` / ``ctypes.PyDLL`` handles (a
+    loaded library stays mapped until the handle dies —
+    ``NativeKernels`` owns both behind ``close()``) and compile
+    temporary directories
     (``TemporaryDirectory``/``mkdtemp`` — an unowned one strands build
     litter in the kernel cache dir on every crashed compile).
     """
 
     id = "RES001"
     title = (
-        "open()/mmap/SharedMemory/pools/CDLL/tempdirs in routing/, "
+        "open()/mmap/SharedMemory/pools/CDLL/PyDLL/tempdirs in routing/, "
         "graph/parallel and native/ are owned by a with-block or a "
         "close()-bearing class"
     )
@@ -535,6 +536,8 @@ class ResourceHygieneRule(Rule):
         "futures.ProcessPoolExecutor",
         "CDLL",
         "ctypes.CDLL",
+        "PyDLL",
+        "ctypes.PyDLL",
         "TemporaryDirectory",
         "tempfile.TemporaryDirectory",
         "mkdtemp",
@@ -725,10 +728,10 @@ class CodecLayoutRule(Rule):
     the implemented format is self-consistent, not that it is still the
     format we committed to.
 
-    The native C scanner mirrors the same wire layout, so the rule also
+    The native C codec mirrors the same wire layout, so the rule also
     runs in text mode over declared ``.c`` files: every layout constant
     must appear as a ``#define NAME <int>`` with exactly the declared
-    value — Python codec and C scanner can then only drift from the
+    value — Python codec and C codec can then only drift from the
     committed format together with the reviewable table, never apart.
     """
 
@@ -808,7 +811,7 @@ class CodecLayoutRule(Rule):
                     message=(
                         f"declared layout constant {name} has no "
                         f"#define in this C source — the layout table "
-                        f"and the native scanner have drifted apart"
+                        f"and the native codec have drifted apart"
                     ),
                 )
             )

@@ -10,10 +10,23 @@ arrays.  Two kernels ride in it:
 
 * the delta-stepping relax/scatter-min inner loop over the flattened
   ``(source, vertex)`` space (:meth:`repro.graph.csr.CSRGraph._delta_batch`
-  calls it per open bucket), and
-* the zigzag-varint ``NodeTable`` payload scanner behind
-  :func:`repro.routing.shard_codec.decode_node_table_fast` (the
-  ``PackedShardStore`` cold-lookup path).
+  calls it per open bucket), called through a ``ctypes.CDLL`` handle
+  so it releases the GIL, and
+* the ``NodeTable`` shard codec, written against the CPython API and
+  called through a ``ctypes.PyDLL`` handle on the same library:
+  ``repro_decode_table`` builds a record's Python objects straight
+  from the payload bytes (behind
+  :func:`repro.routing.shard_codec.decode_node_table_fast`, the
+  ``PackedShardStore`` cold-lookup path) and ``repro_encode_table``
+  writes the payload bytes straight from the record (behind
+  :func:`repro.routing.shard_codec.encode_node_table`, the save path).
+  Either returns ``None`` outside its fast domain and the caller runs
+  the pure codec.
+
+Because the codec links against the CPython API, the build needs the
+interpreter's headers (``Python.h`` under ``sysconfig``'s include dir)
+and the cache key carries the interpreter ABI (``EXT_SUFFIX``) next to
+the source hash, so two interpreters never share one library.
 
 Dispatch
 --------
@@ -46,6 +59,8 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
+import sysconfig
 import tempfile
 from typing import Any, Dict, Optional, Tuple
 
@@ -77,6 +92,8 @@ _CC_OFF = ("off", "none", "0")
 #: source content, so a host without a compiler still finds a library
 #: another process (or an earlier run) built from identical source
 _CC_FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
+#: macOS resolves the CPython symbols from the host interpreter at load
+_CC_FLAGS_DARWIN = ("-undefined", "dynamic_lookup")
 
 
 class NativeError(RuntimeError):
@@ -141,8 +158,30 @@ def source_hash() -> str:
 
 
 def kernel_library_path() -> str:
-    """Where the built library for the current source content lives."""
-    return os.path.join(cache_dir(), f"repro_kernels-{source_hash()}.so")
+    """Where the built library for this source and interpreter ABI lives.
+
+    The name carries the interpreter's ``EXT_SUFFIX`` (e.g.
+    ``.cpython-311-x86_64-linux-gnu.so``) next to the source hash: the
+    codec kernels link against the CPython API, so a library built for
+    one interpreter must never load into another.
+    """
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    return os.path.join(
+        cache_dir(), f"repro_kernels-{source_hash()}{suffix}"
+    )
+
+
+def _python_include() -> str:
+    """The interpreter's C header directory (must hold ``Python.h``)."""
+    include = sysconfig.get_paths()["include"]
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        raise NativeBuildError(
+            f"Python.h not found in {include!r}: the native codec needs "
+            f"the interpreter's C headers — install the Python "
+            f"development package (e.g. python3-dev), or set "
+            f"REPRO_KERNEL=numpy to run without the native tier"
+        )
+    return include
 
 
 def _build_library(cc: str, target: str) -> None:
@@ -154,6 +193,7 @@ def _build_library(cc: str, target: str) -> None:
     resolving native at the same moment) each publish a byte-equivalent
     file and the last rename wins without ever exposing a torn write.
     """
+    include = _python_include()
     directory = os.path.dirname(target)
     try:
         os.makedirs(directory, exist_ok=True)
@@ -163,7 +203,9 @@ def _build_library(cc: str, target: str) -> None:
         ) from exc
     with tempfile.TemporaryDirectory(dir=directory) as tmp:
         tmp_so = os.path.join(tmp, "repro_kernels.so")
-        cmd = [cc, *_CC_FLAGS, "-o", tmp_so, source_path()]
+        cmd = [cc, *_CC_FLAGS, "-I", include, "-o", tmp_so, source_path()]
+        if sys.platform == "darwin":
+            cmd[1:1] = _CC_FLAGS_DARWIN
         try:
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=120
@@ -193,9 +235,11 @@ _F64_P = ctypes.POINTER(ctypes.c_double)
 class NativeKernels:
     """Owner of the loaded kernel library and its call surface.
 
-    Holds the ``ctypes.CDLL`` handle for its whole lifetime (``close()``
-    drops it; the OS unmaps the library when the last reference dies)
-    and exposes numpy-facing wrappers around the two C entry points.
+    Holds two handles on the one library for its whole lifetime
+    (``close()`` drops both; the OS unmaps the library when the last
+    reference dies): a ``ctypes.CDLL`` for the delta-stepping batch,
+    which releases the GIL, and a ``ctypes.PyDLL`` for the codec entry
+    points, which build Python objects and so keep the GIL held.
     """
 
     def __init__(self, path: str) -> None:
@@ -220,18 +264,21 @@ class NativeKernels:
             ctypes.POINTER(_I32_P), ctypes.POINTER(_F64_P),
             ctypes.POINTER(c_i64),
         ]
-        lib.repro_scan_table.restype = ctypes.c_int
-        lib.repro_scan_table.argtypes = [
-            c_ptr, c_i64,                        # data, len
-            c_ptr, c_ptr, c_ptr, c_ptr, c_ptr,   # ids, wts, tags, aux, meta
-        ]
         lib.repro_release.restype = None
         lib.repro_release.argtypes = [c_ptr]
         self._lib: Optional[ctypes.CDLL] = lib
+        codec = ctypes.PyDLL(path)
+        obj = ctypes.py_object
+        codec.repro_decode_table.restype = obj
+        codec.repro_decode_table.argtypes = [obj]
+        codec.repro_encode_table.restype = obj
+        codec.repro_encode_table.argtypes = [obj, obj, obj, obj]
+        self._codec: Optional[ctypes.PyDLL] = codec
 
     def close(self) -> None:
-        """Drop the library handle (test hook; idempotent)."""
+        """Drop the library handles (test hook; idempotent)."""
         self._lib = None
+        self._codec = None
 
     # -- kernel 1: delta-stepping batch engine --------------------------
     def delta_batch(
@@ -301,32 +348,31 @@ class NativeKernels:
         lib.repro_release(ptr)
         return out
 
-    # -- kernel 2: shard payload scan -----------------------------------
-    def scan_table(
-        self,
-        data: np.ndarray,
-        ids: np.ndarray,
-        wts: np.ndarray,
-        tags: np.ndarray,
-        aux: np.ndarray,
-        meta: np.ndarray,
-    ) -> bool:
-        """Scan one shard payload; ``False`` means "use the pure decoder".
+    # -- kernel 2: the NodeTable shard codec ---------------------------
+    def decode_table(self, data: Any) -> Optional[Tuple[Any, ...]]:
+        """One shard payload as ``(owner, ids, weights, label, categories)``.
 
-        ``data`` is the payload as a uint8 array (zero-copy over the
-        caller's bytes/memoryview); the other arrays are caller scratch
-        of at least ``data.size`` entries (``meta``: 4).  On ``True``,
-        ``meta`` holds ``(owner, degree, unit_flag, ntok)`` and the
-        ids/wts/tags/aux prefixes are filled (see ``_kernels.c``).
+        ``data`` is any simple buffer (``bytes``, an mmap ``memoryview``
+        slice); ``weights`` is ``None`` for a unit-weight record.  The
+        result is ``None`` outside the fast domain: use the pure decoder.
         """
-        lib = self._lib
-        if lib is None:
+        codec = self._codec
+        if codec is None:
             raise NativeExecutionError("kernel library handle is closed")
-        rc = lib.repro_scan_table(
-            _ptr(data), int(data.size),
-            _ptr(ids), _ptr(wts), _ptr(tags), _ptr(aux), _ptr(meta),
+        result: Optional[Tuple[Any, ...]] = codec.repro_decode_table(data)
+        return result
+
+    def encode_table(
+        self, owner: Any, neighbors: Any, label: Any, categories: Any
+    ) -> Optional[bytes]:
+        """One record's shard payload, or ``None``: use the pure encoder."""
+        codec = self._codec
+        if codec is None:
+            raise NativeExecutionError("kernel library handle is closed")
+        result: Optional[bytes] = codec.repro_encode_table(
+            owner, neighbors, label, categories
         )
-        return rc == 0
+        return result
 
 
 #: once-per-process load outcome: (tried, handle, error)

@@ -9,24 +9,32 @@
  *     keeps setup (cap/start computation) and output assembly; the
  *     contract is the least float64 fixpoint with per-bucket settled
  *     sets identical to the numpy wave engine (see the membership
- *     argument in csr._delta_batch).
+ *     argument in csr._delta_batch).  Plain C over raw buffers, loaded
+ *     through ctypes.CDLL so the call releases the GIL.
  *
- *  2. repro_scan_table — a validating scanner for the v1 NodeTable
- *     shard payload (magic "RT"): header, owner/degree/neighbour
- *     uvarints, little-endian doubles, and the tagged value tree
- *     flattened into a preorder (tag, aux) token stream the Python side
- *     assembles into the NodeTable.  Any structural anomaly (or an int
- *     outside int64) returns nonzero and the caller re-runs the pure
- *     Python decoder, which raises the canonical ShardCodecError — the
- *     scanner never guesses at malformed input.
+ *  2. repro_decode_table / repro_encode_table — the v1 NodeTable shard
+ *     codec (magic "RT") written against the CPython API and loaded
+ *     through ctypes.PyDLL (the GIL stays held).  Decode builds the
+ *     record's Python objects straight from the payload bytes; encode
+ *     writes the payload bytes straight from the record's objects.
+ *     Both return None for anything outside their fast domain —
+ *     truncation, a foreign magic or version, trailing bytes, an int
+ *     outside int64, a non-string category name, a type or subclass
+ *     the fast path does not handle, an unhashable key, invalid UTF-8
+ *     — and the caller re-runs the pure Python codec, which produces
+ *     the canonical bytes or raises the canonical error.  Neither
+ *     keeps state between calls, so concurrent threads are safe.
  *
- * Plain C99 + stdlib only: compiled on demand by repro.native with the
- * system compiler into a content-hash-named shared library and loaded
- * via ctypes with zero-copy pointers into the existing numpy arrays.
+ * C99 + the CPython headers: compiled on demand by repro.native with
+ * the system compiler into a content-hash- and ABI-named shared
+ * library.
  *
  * Wire constants below mirror repro/routing/shard_codec.py and are
  * cross-checked against repro/analysis/layouts.py by CODEC001.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <math.h>
 #include <stdint.h>
@@ -52,17 +60,9 @@
 #define RT_T_TUPLE 0x06
 #define RT_T_LIST 0x07
 #define RT_T_DICT 0x08
-/* pseudo-tag in the token stream for the untagged category/entry
- * counts of the record body (never appears in shard bytes) */
-#define RT_T_COUNT 0xF1
 
-/* scanner outcome: 0 = ok, anything else = re-run the pure decoder */
-#define SCAN_OK 0
-#define SCAN_FALLBACK 1
-
+/* nesting bound of the C codec; deeper values take the pure path */
 #define MAX_VALUE_DEPTH 200
-/* string offsets/lengths share one int64 aux: offset | (length << 40) */
-#define STR_OFFSET_BITS 40
 
 /* ------------------------------------------------------------------ */
 /* kernel 1: delta-stepping bucket relaxation                          */
@@ -479,216 +479,480 @@ out:
 }
 
 /* ------------------------------------------------------------------ */
-/* kernel 2: NodeTable shard payload scan                              */
+/* kernel 2: the NodeTable shard codec (CPython API, GIL held)         */
 /* ------------------------------------------------------------------ */
+
+/* Every helper below returns 0 / a new reference on success and -1 /
+ * NULL when the input leaves the fast domain (possibly with a Python
+ * exception set); the two entry points clear the exception and return
+ * None, so the caller falls back to the pure codec. */
+
+static double get_double(const uint8_t *p)
+{
+    uint64_t bits = 0;
+    double d;
+    for (int i = 0; i < 8; i++)
+        bits |= (uint64_t)p[i] << (8 * i);
+    memcpy(&d, &bits, 8);
+    return d;
+}
+
+static void put_double(uint8_t *p, double d)
+{
+    uint64_t bits;
+    memcpy(&bits, &d, 8);
+    for (int i = 0; i < 8; i++)
+        p[i] = (uint8_t)(bits >> (8 * i));
+}
 
 typedef struct {
     const uint8_t *data;
-    int64_t len;
-    int64_t pos;
-    uint8_t *tags;
-    int64_t *aux;
-    int64_t ntok;
-} scan_ctx;
+    Py_ssize_t len;
+    Py_ssize_t pos;
+} rd_ctx;
 
-/* 7-bit-continuation uvarint; mirrors _read_uvarint (shift limit 70,
- * i.e. <= 11 bytes / 77 payload bits). */
-static int read_uvarint(scan_ctx *c, unsigned __int128 *out)
+/* 7-bit-continuation uvarint; mirrors _read_uvarint (at most 11 bytes,
+ * shift limit 70).  Values past 64 bits leave the fast domain. */
+static int rd_uvarint(rd_ctx *c, uint64_t *out)
 {
-    unsigned __int128 result = 0;
-    int shift = 0;
-    for (;;) {
+    uint64_t result = 0;
+    for (int shift = 0; shift <= 70; shift += 7) {
         if (c->pos >= c->len)
-            return SCAN_FALLBACK; /* truncated varint */
+            return -1; /* truncated varint */
         uint8_t byte = c->data[c->pos++];
-        result |= (unsigned __int128)(byte & 0x7F) << shift;
+        uint64_t bits = byte & 0x7F;
+        if (bits != 0) {
+            if (shift > 63 || (bits << shift) >> shift != bits)
+                return -1;
+            result |= bits << shift;
+        }
         if (!(byte & 0x80)) {
             *out = result;
-            return SCAN_OK;
+            return 0;
         }
-        shift += 7;
-        if (shift > 70)
-            return SCAN_FALLBACK; /* varint too long */
     }
+    return -1; /* varint too long */
 }
 
-/* uvarint that must fit a non-negative int64 (ids, counts, lengths) */
-static int read_uvarint64(scan_ctx *c, int64_t *out)
+/* uvarint that must fit a non-negative int64 (owner, neighbour ids) */
+static PyObject *rd_id(rd_ctx *c)
 {
-    unsigned __int128 raw;
-    if (read_uvarint(c, &raw) != SCAN_OK)
-        return SCAN_FALLBACK;
-    if (raw > (unsigned __int128)INT64_MAX)
-        return SCAN_FALLBACK; /* beyond int64: pure decoder handles it */
-    *out = (int64_t)raw;
-    return SCAN_OK;
+    uint64_t raw;
+    if (rd_uvarint(c, &raw) != 0 || raw > (uint64_t)INT64_MAX)
+        return NULL;
+    return PyLong_FromLongLong((long long)raw);
 }
 
-static int emit(scan_ctx *c, uint8_t tag, int64_t aux)
+/* A count or byte length: every element takes at least one payload
+ * byte, so anything larger than the bytes left is truncation. */
+static int rd_size(rd_ctx *c, Py_ssize_t *out)
 {
-    /* every token consumes >= 1 payload byte, so ntok < len always
-     * holds for well-formed input; the guard keeps a scanner bug from
-     * ever writing past the caller's len-sized buffers */
-    if (c->ntok >= c->len)
-        return SCAN_FALLBACK;
-    c->tags[c->ntok] = tag;
-    c->aux[c->ntok] = aux;
-    c->ntok++;
-    return SCAN_OK;
+    uint64_t raw;
+    if (rd_uvarint(c, &raw) != 0 || raw > (uint64_t)(c->len - c->pos))
+        return -1;
+    *out = (Py_ssize_t)raw;
+    return 0;
 }
 
-/* One tagged value, preorder, recursively (depth-capped). */
-static int scan_value(scan_ctx *c, int depth)
+static PyObject *rd_value(rd_ctx *c, int depth);
+
+/* `count` key/value pairs into `dict` (later duplicates win, as in the
+ * pure decoder's `result[k] = v`) */
+static int rd_items(rd_ctx *c, PyObject *dict, Py_ssize_t count, int depth)
 {
-    if (depth > MAX_VALUE_DEPTH)
-        return SCAN_FALLBACK;
-    if (c->pos >= c->len)
-        return SCAN_FALLBACK; /* truncated value */
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *k = rd_value(c, depth);
+        if (k == NULL)
+            return -1;
+        PyObject *v = rd_value(c, depth);
+        if (v == NULL) {
+            Py_DECREF(k);
+            return -1;
+        }
+        int rc = PyDict_SetItem(dict, k, v); /* unhashable key: -1 */
+        Py_DECREF(k);
+        Py_DECREF(v);
+        if (rc != 0)
+            return -1;
+    }
+    return 0;
+}
+
+static PyObject *rd_value(rd_ctx *c, int depth)
+{
+    if (depth > MAX_VALUE_DEPTH || c->pos >= c->len)
+        return NULL;
     uint8_t tag = c->data[c->pos++];
     switch (tag) {
     case RT_T_NONE:
+        Py_RETURN_NONE;
     case RT_T_TRUE:
+        Py_RETURN_TRUE;
     case RT_T_FALSE:
-        return emit(c, tag, 0);
+        Py_RETURN_FALSE;
     case RT_T_INT: {
-        unsigned __int128 raw;
-        if (read_uvarint(c, &raw) != SCAN_OK)
-            return SCAN_FALLBACK;
-        /* zigzag: even -> raw >> 1, odd -> -((raw + 1) >> 1) */
-        if (!(raw & 1)) {
-            if ((raw >> 1) > (unsigned __int128)INT64_MAX)
-                return SCAN_FALLBACK;
-            return emit(c, tag, (int64_t)(raw >> 1));
-        }
-        unsigned __int128 mag = (raw + 1) >> 1;
-        if (mag > (unsigned __int128)INT64_MAX + 1)
-            return SCAN_FALLBACK;
-        return emit(c, tag, (int64_t)(0 - (uint64_t)mag));
+        uint64_t raw;
+        if (rd_uvarint(c, &raw) != 0)
+            return NULL;
+        /* zigzag: even -> raw >> 1, odd -> -(raw >> 1) - 1 */
+        long long half = (long long)(raw >> 1);
+        return PyLong_FromLongLong((raw & 1) ? -half - 1 : half);
     }
     case RT_T_FLOAT: {
-        if (c->pos + 8 > c->len)
-            return SCAN_FALLBACK; /* truncated float */
-        int64_t bits;
-        memcpy(&bits, c->data + c->pos, 8);
+        if (c->len - c->pos < 8)
+            return NULL; /* truncated float */
+        double d = get_double(c->data + c->pos);
         c->pos += 8;
-        return emit(c, tag, bits);
+        return PyFloat_FromDouble(d);
     }
     case RT_T_STR: {
-        int64_t length;
-        if (read_uvarint64(c, &length) != SCAN_OK)
-            return SCAN_FALLBACK;
-        if (length > c->len - c->pos)
-            return SCAN_FALLBACK; /* truncated string */
-        if (length >= ((int64_t)1 << (63 - STR_OFFSET_BITS)))
-            return SCAN_FALLBACK;
-        int64_t aux = c->pos | (length << STR_OFFSET_BITS);
-        c->pos += length;
-        return emit(c, tag, aux);
+        Py_ssize_t n;
+        if (rd_size(c, &n) != 0)
+            return NULL;
+        PyObject *s = PyUnicode_DecodeUTF8(
+            (const char *)c->data + c->pos, n, NULL);
+        c->pos += n;
+        return s;
     }
     case RT_T_TUPLE:
     case RT_T_LIST: {
-        int64_t count;
-        if (read_uvarint64(c, &count) != SCAN_OK)
-            return SCAN_FALLBACK;
-        if (emit(c, tag, count) != SCAN_OK)
-            return SCAN_FALLBACK;
-        for (int64_t i = 0; i < count; i++)
-            if (scan_value(c, depth + 1) != SCAN_OK)
-                return SCAN_FALLBACK;
-        return SCAN_OK;
+        Py_ssize_t n;
+        if (rd_size(c, &n) != 0)
+            return NULL;
+        PyObject *seq = tag == RT_T_TUPLE ? PyTuple_New(n) : PyList_New(n);
+        if (seq == NULL)
+            return NULL;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            PyObject *item = rd_value(c, depth + 1);
+            if (item == NULL) {
+                Py_DECREF(seq);
+                return NULL;
+            }
+            if (tag == RT_T_TUPLE)
+                PyTuple_SET_ITEM(seq, i, item);
+            else
+                PyList_SET_ITEM(seq, i, item);
+        }
+        return seq;
     }
     case RT_T_DICT: {
-        int64_t count;
-        if (read_uvarint64(c, &count) != SCAN_OK)
-            return SCAN_FALLBACK;
-        if (emit(c, tag, count) != SCAN_OK)
-            return SCAN_FALLBACK;
-        for (int64_t i = 0; i < count; i++) {
-            if (scan_value(c, depth + 1) != SCAN_OK)
-                return SCAN_FALLBACK;
-            if (scan_value(c, depth + 1) != SCAN_OK)
-                return SCAN_FALLBACK;
+        Py_ssize_t n;
+        if (rd_size(c, &n) != 0)
+            return NULL;
+        PyObject *dict = PyDict_New();
+        if (dict == NULL)
+            return NULL;
+        if (rd_items(c, dict, n, depth + 1) != 0) {
+            Py_DECREF(dict);
+            return NULL;
         }
-        return SCAN_OK;
+        return dict;
     }
     default:
-        return SCAN_FALLBACK; /* unknown value tag */
+        return NULL; /* unknown value tag */
     }
 }
 
-/* Scan one v1 shard payload.
- *
- * On success: meta = {owner, degree, unit_flag, ntok}; ids[0..degree)
- * hold the neighbour ids, wts[0..degree) the weights (untouched when
- * unit_flag is set), and tags/aux[0..ntok) the preorder token stream of
- * label + COUNT(cat_count) + per category (str value, COUNT(entries),
- * entries * (key, value)).  All caller buffers must hold >= len
- * entries.  Nonzero means "re-run the pure Python decoder".
- */
-int repro_scan_table(
-    const uint8_t *data,
-    int64_t len,
-    int64_t *ids,
-    double *wts,
-    uint8_t *tags,
-    int64_t *aux,
-    int64_t *meta)
+/* The record body after the 4-byte header, as the 5-tuple
+ * (owner, ids, weights | None, label, categories). */
+static PyObject *rd_table(rd_ctx *c, int unit)
 {
-    if (len < 4 || len >= ((int64_t)1 << STR_OFFSET_BITS))
-        return SCAN_FALLBACK;
-    if (data[0] != RT_MAGIC_0 || data[1] != RT_MAGIC_1)
-        return SCAN_FALLBACK; /* bad magic */
-    if (data[2] != RT_CODEC_VERSION)
-        return SCAN_FALLBACK; /* foreign version */
-    int unit = data[3] & RT_FLAG_UNIT_WEIGHTS;
+    PyObject *owner = NULL, *ids = NULL, *weights = NULL;
+    PyObject *label = NULL, *cats = NULL, *result = NULL;
+    Py_ssize_t degree, ncat;
 
-    scan_ctx c = {data, len, 4, tags, aux, 0};
-    int64_t owner, degree;
-    if (read_uvarint64(&c, &owner) != SCAN_OK)
-        return SCAN_FALLBACK;
-    if (read_uvarint64(&c, &degree) != SCAN_OK)
-        return SCAN_FALLBACK;
-    if (degree > len)
-        return SCAN_FALLBACK; /* cannot fit: must be truncated */
-    for (int64_t i = 0; i < degree; i++)
-        if (read_uvarint64(&c, &ids[i]) != SCAN_OK)
-            return SCAN_FALLBACK;
-    if (!unit) {
-        if (8 * degree > c.len - c.pos)
-            return SCAN_FALLBACK; /* truncated weights */
-        memcpy(wts, c.data + c.pos, (size_t)(8 * degree));
-        c.pos += 8 * degree;
+    owner = rd_id(c);
+    if (owner == NULL || rd_size(c, &degree) != 0)
+        goto out;
+    ids = PyList_New(degree);
+    if (ids == NULL)
+        goto out;
+    for (Py_ssize_t i = 0; i < degree; i++) {
+        PyObject *nb = rd_id(c);
+        if (nb == NULL)
+            goto out;
+        PyList_SET_ITEM(ids, i, nb);
     }
-    if (scan_value(&c, 0) != SCAN_OK) /* label */
-        return SCAN_FALLBACK;
-    int64_t cat_count;
-    if (read_uvarint64(&c, &cat_count) != SCAN_OK)
-        return SCAN_FALLBACK;
-    if (emit(&c, RT_T_COUNT, cat_count) != SCAN_OK)
-        return SCAN_FALLBACK;
-    for (int64_t i = 0; i < cat_count; i++) {
-        int64_t cat_tok = c.ntok;
-        if (scan_value(&c, 0) != SCAN_OK)
-            return SCAN_FALLBACK;
-        if (c.tags[cat_tok] != RT_T_STR)
-            return SCAN_FALLBACK; /* category name is not a string */
-        int64_t entry_count;
-        if (read_uvarint64(&c, &entry_count) != SCAN_OK)
-            return SCAN_FALLBACK;
-        if (emit(&c, RT_T_COUNT, entry_count) != SCAN_OK)
-            return SCAN_FALLBACK;
-        for (int64_t j = 0; j < entry_count; j++) {
-            if (scan_value(&c, 0) != SCAN_OK)
-                return SCAN_FALLBACK;
-            if (scan_value(&c, 0) != SCAN_OK)
-                return SCAN_FALLBACK;
+    if (unit) {
+        Py_INCREF(Py_None);
+        weights = Py_None;
+    } else {
+        if (c->len - c->pos < 8 * degree)
+            goto out; /* truncated weights */
+        weights = PyList_New(degree);
+        if (weights == NULL)
+            goto out;
+        for (Py_ssize_t i = 0; i < degree; i++) {
+            PyObject *w = PyFloat_FromDouble(get_double(c->data + c->pos));
+            if (w == NULL)
+                goto out;
+            PyList_SET_ITEM(weights, i, w);
+            c->pos += 8;
         }
     }
-    if (c.pos != len)
-        return SCAN_FALLBACK; /* trailing bytes */
-    meta[0] = owner;
-    meta[1] = degree;
-    meta[2] = unit ? 1 : 0;
-    meta[3] = c.ntok;
-    return SCAN_OK;
+    label = rd_value(c, 0);
+    if (label == NULL || rd_size(c, &ncat) != 0)
+        goto out;
+    cats = PyDict_New();
+    if (cats == NULL)
+        goto out;
+    for (Py_ssize_t i = 0; i < ncat; i++) {
+        Py_ssize_t nent;
+        PyObject *name = rd_value(c, 0);
+        if (name == NULL)
+            goto out;
+        if (!PyUnicode_CheckExact(name) || rd_size(c, &nent) != 0) {
+            Py_DECREF(name); /* category name is not a string */
+            goto out;
+        }
+        PyObject *entries = PyDict_New();
+        int rc = entries == NULL ? -1 : rd_items(c, entries, nent, 0);
+        if (rc == 0)
+            rc = PyDict_SetItem(cats, name, entries);
+        Py_DECREF(name);
+        Py_XDECREF(entries);
+        if (rc != 0)
+            goto out;
+    }
+    if (c->pos == c->len) /* else: trailing bytes */
+        result = PyTuple_Pack(5, owner, ids, weights, label, cats);
+
+out:
+    Py_XDECREF(owner);
+    Py_XDECREF(ids);
+    Py_XDECREF(weights);
+    Py_XDECREF(label);
+    Py_XDECREF(cats);
+    return result;
+}
+
+/* Decode one v1 shard payload from any simple buffer (bytes, an mmap
+ * memoryview slice).  The buffer export is released before returning,
+ * so an mmap can close right after; strings are copied out. */
+PyObject *repro_decode_table(PyObject *buffer)
+{
+    Py_buffer view;
+    PyObject *result = NULL;
+    if (PyObject_GetBuffer(buffer, &view, PyBUF_SIMPLE) != 0) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    const uint8_t *data = (const uint8_t *)view.buf;
+    if (view.len >= 4 && data[0] == RT_MAGIC_0 && data[1] == RT_MAGIC_1
+        && data[2] == RT_CODEC_VERSION) {
+        rd_ctx c = {data, view.len, 4};
+        result = rd_table(&c, data[3] & RT_FLAG_UNIT_WEIGHTS);
+    }
+    PyBuffer_Release(&view);
+    if (result == NULL) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    return result;
+}
+
+typedef struct {
+    uint8_t *buf;
+    Py_ssize_t len;
+    Py_ssize_t cap;
+} wr_ctx;
+
+static int wr_reserve(wr_ctx *w, Py_ssize_t extra)
+{
+    if (w->cap - w->len >= extra)
+        return 0;
+    Py_ssize_t cap = w->cap ? w->cap : 1024;
+    while (cap - w->len < extra)
+        cap *= 2;
+    uint8_t *grown = (uint8_t *)PyMem_Realloc(w->buf, (size_t)cap);
+    if (grown == NULL)
+        return -1;
+    w->buf = grown;
+    w->cap = cap;
+    return 0;
+}
+
+static int wr_byte(wr_ctx *w, uint8_t byte)
+{
+    if (wr_reserve(w, 1) != 0)
+        return -1;
+    w->buf[w->len++] = byte;
+    return 0;
+}
+
+static int wr_uvarint(wr_ctx *w, uint64_t value)
+{
+    if (wr_reserve(w, 10) != 0)
+        return -1;
+    while (value >= 0x80) {
+        w->buf[w->len++] = (uint8_t)(value | 0x80);
+        value >>= 7;
+    }
+    w->buf[w->len++] = (uint8_t)value;
+    return 0;
+}
+
+/* An exact int in [0, INT64_MAX] (owner, neighbour ids) as a uvarint;
+ * negative ids take the pure path, which raises its own error. */
+static int wr_id(wr_ctx *w, PyObject *v)
+{
+    int overflow;
+    if (!PyLong_CheckExact(v))
+        return -1;
+    long long x = PyLong_AsLongLongAndOverflow(v, &overflow);
+    if (overflow || x < 0)
+        return -1;
+    return wr_uvarint(w, (uint64_t)x);
+}
+
+static int wr_bytes(wr_ctx *w, const void *src, Py_ssize_t n)
+{
+    if (wr_reserve(w, n) != 0)
+        return -1;
+    memcpy(w->buf + w->len, src, (size_t)n);
+    w->len += n;
+    return 0;
+}
+
+static int wr_value(wr_ctx *w, PyObject *v, int depth);
+
+static int wr_items(wr_ctx *w, PyObject *dict, int depth)
+{
+    Py_ssize_t pos = 0;
+    PyObject *k, *v;
+    if (wr_uvarint(w, (uint64_t)PyDict_GET_SIZE(dict)) != 0)
+        return -1;
+    while (PyDict_Next(dict, &pos, &k, &v))
+        if (wr_value(w, k, depth) != 0 || wr_value(w, v, depth) != 0)
+            return -1;
+    return 0;
+}
+
+/* Mirrors _write_value: bool is tested before int (bool subclasses
+ * int), and only exact builtin types take the fast path. */
+static int wr_value(wr_ctx *w, PyObject *v, int depth)
+{
+    if (depth > MAX_VALUE_DEPTH)
+        return -1;
+    if (v == Py_None)
+        return wr_byte(w, RT_T_NONE);
+    if (v == Py_True)
+        return wr_byte(w, RT_T_TRUE);
+    if (v == Py_False)
+        return wr_byte(w, RT_T_FALSE);
+    if (PyLong_CheckExact(v)) {
+        int overflow;
+        long long x = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (overflow)
+            return -1; /* beyond int64 */
+        /* zigzag: non-negative -> even, negative -> odd */
+        uint64_t zz = x >= 0 ? (uint64_t)x << 1
+                             : ((uint64_t)(-(x + 1)) << 1) | 1;
+        if (wr_byte(w, RT_T_INT) != 0)
+            return -1;
+        return wr_uvarint(w, zz);
+    }
+    if (PyFloat_CheckExact(v)) {
+        if (wr_reserve(w, 9) != 0)
+            return -1;
+        w->buf[w->len++] = RT_T_FLOAT;
+        put_double(w->buf + w->len, PyFloat_AS_DOUBLE(v));
+        w->len += 8;
+        return 0;
+    }
+    if (PyUnicode_CheckExact(v)) {
+        Py_ssize_t n;
+        const char *s = PyUnicode_AsUTF8AndSize(v, &n); /* surrogates: NULL */
+        if (s == NULL || wr_byte(w, RT_T_STR) != 0
+            || wr_uvarint(w, (uint64_t)n) != 0)
+            return -1;
+        return wr_bytes(w, s, n);
+    }
+    if (PyTuple_CheckExact(v) || PyList_CheckExact(v)) {
+        int is_tuple = PyTuple_CheckExact(v);
+        Py_ssize_t n = is_tuple ? PyTuple_GET_SIZE(v) : PyList_GET_SIZE(v);
+        if (wr_byte(w, is_tuple ? RT_T_TUPLE : RT_T_LIST) != 0
+            || wr_uvarint(w, (uint64_t)n) != 0)
+            return -1;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            PyObject *item =
+                is_tuple ? PyTuple_GET_ITEM(v, i) : PyList_GET_ITEM(v, i);
+            if (wr_value(w, item, depth + 1) != 0)
+                return -1;
+        }
+        return 0;
+    }
+    if (PyDict_CheckExact(v)) {
+        if (wr_byte(w, RT_T_DICT) != 0)
+            return -1;
+        return wr_items(w, v, depth + 1);
+    }
+    return -1; /* a type (or subclass) the fast path leaves to Python */
+}
+
+/* Mirrors encode_node_table: header, owner, port-ordered neighbour ids,
+ * the weight block unless every weight == 1.0, label, categories. */
+static int wr_table(wr_ctx *w, PyObject *owner, PyObject *neighbors,
+                    PyObject *label, PyObject *categories)
+{
+    if (!PyTuple_CheckExact(neighbors) || !PyDict_CheckExact(categories))
+        return -1;
+    Py_ssize_t degree = PyTuple_GET_SIZE(neighbors);
+    int unit = 1;
+    for (Py_ssize_t i = 0; i < degree; i++) {
+        PyObject *link = PyTuple_GET_ITEM(neighbors, i);
+        if (!PyTuple_CheckExact(link) || PyTuple_GET_SIZE(link) != 2
+            || !PyFloat_CheckExact(PyTuple_GET_ITEM(link, 1)))
+            return -1;
+        if (PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(link, 1)) != 1.0)
+            unit = 0;
+    }
+    uint8_t header[4] = {RT_MAGIC_0, RT_MAGIC_1, RT_CODEC_VERSION,
+                         unit ? RT_FLAG_UNIT_WEIGHTS : 0};
+    if (wr_bytes(w, header, 4) != 0 || wr_id(w, owner) != 0
+        || wr_uvarint(w, (uint64_t)degree) != 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < degree; i++)
+        if (wr_id(w, PyTuple_GET_ITEM(PyTuple_GET_ITEM(neighbors, i), 0)))
+            return -1;
+    if (!unit) {
+        if (wr_reserve(w, 8 * degree) != 0)
+            return -1;
+        for (Py_ssize_t i = 0; i < degree; i++) {
+            PyObject *link = PyTuple_GET_ITEM(neighbors, i);
+            put_double(w->buf + w->len,
+                       PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(link, 1)));
+            w->len += 8;
+        }
+    }
+    if (wr_value(w, label, 0) != 0)
+        return -1;
+    if (wr_uvarint(w, (uint64_t)PyDict_GET_SIZE(categories)) != 0)
+        return -1;
+    Py_ssize_t pos = 0;
+    PyObject *name, *entries;
+    while (PyDict_Next(categories, &pos, &name, &entries)) {
+        /* the decoder rejects non-string names: leave them to Python */
+        if (!PyUnicode_CheckExact(name) || !PyDict_CheckExact(entries))
+            return -1;
+        if (wr_value(w, name, 0) != 0 || wr_items(w, entries, 0) != 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Encode one NodeTable's fields into the v1 payload bytes, or None. */
+PyObject *repro_encode_table(PyObject *owner, PyObject *neighbors,
+                             PyObject *label, PyObject *categories)
+{
+    wr_ctx w = {NULL, 0, 0};
+    PyObject *out = NULL;
+    if (wr_table(&w, owner, neighbors, label, categories) == 0)
+        out = PyBytes_FromStringAndSize((const char *)w.buf, w.len);
+    PyMem_Free(w.buf);
+    if (out == NULL) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    return out;
 }

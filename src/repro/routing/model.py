@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..graph.core import Graph
 from .ports import PortAssignment
@@ -69,9 +69,12 @@ def words_of(value: Any) -> int:
 class SizedTable:
     """A per-vertex routing table with word-accurate accounting by category."""
 
-    def __init__(self, owner: int) -> None:
+    def __init__(
+        self, owner: int, data: Optional[Dict[str, Dict[Any, Any]]] = None
+    ) -> None:
         self.owner = owner
-        self._data: Dict[str, Dict[Any, Any]] = {}
+        #: ``data`` is wrapped as is, not copied (see NodeTable.sized_table)
+        self._data: Dict[str, Dict[Any, Any]] = {} if data is None else data
 
     def put(self, category: str, key: Any, value: Any) -> None:
         """Store ``value`` under ``key`` in ``category`` (overwrites)."""

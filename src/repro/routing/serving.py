@@ -65,6 +65,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -397,6 +398,7 @@ def write_shard_records(
     path: str,
     *,
     identity: Dict[str, Any],
+    table_words: Optional[Sequence[int]] = None,
     packed: bool = False,
     fanout: int = DEFAULT_FANOUT,
     group_size: int = DEFAULT_GROUP_SIZE,
@@ -413,8 +415,10 @@ def write_shard_records(
     is consumed in one streaming pass with bounded residency (one shard
     for the per-file layout, one group for the packed layout; packed
     writing needs records in nondecreasing ``owner // group_size``
-    order, which every producer here emits).  Returns the manifest dict
-    (also written to ``manifest.json``).
+    order, which every producer here emits).  ``table_words``, when
+    given, is each record's ``table_words()`` in the same order (so a
+    caller that already counted them is not charged twice).  Returns
+    the manifest dict (also written to ``manifest.json``).
 
     Packed layouts default to ``checksums=True`` (layout v3: CRC32 per
     payload and per index); ``checksums=False`` writes the legacy v2
@@ -428,12 +432,16 @@ def write_shard_records(
     stats = {"n": 0, "bytes": 0, "max_bytes": 0, "words": 0, "max_words": 0}
 
     def encoded() -> Iterator[Tuple[int, bytes]]:
+        counted = iter(table_words) if table_words is not None else None
         for record in records:
             blob = encode_node_table(record)
             stats["n"] += 1
             stats["bytes"] += len(blob)
             stats["max_bytes"] = max(stats["max_bytes"], len(blob))
-            words = record.table_words()
+            words = (
+                next(counted) if counted is not None
+                else record.table_words()
+            )
             stats["words"] += words
             stats["max_words"] = max(stats["max_words"], words)
             yield record.owner, blob
@@ -507,7 +515,8 @@ def write_shards(
     """
     records = scheme.compile_tables()
     stats = scheme.stats()
-    total_words = sum(r.table_words() for r in records)
+    words = [r.table_words() for r in records]
+    total_words = sum(words)
     if total_words != stats.total_table_words:
         raise ShardAccountingError(
             f"compiled shards hold {total_words} table words, scheme "
@@ -529,6 +538,7 @@ def write_shards(
         records,
         path,
         identity=identity,
+        table_words=words,
         packed=packed,
         fanout=fanout,
         group_size=group_size,
@@ -712,14 +722,15 @@ class _ShardStoreBase:
         """Vertex ``v``'s record, loaded from its shard on first touch."""
         record = self._resident.get(v)
         if record is not None:
-            self._resident.move_to_end(v)
+            if self.max_resident is not None:  # LRU order only matters
+                self._resident.move_to_end(v)  # when something evicts
             self.hits += 1
             return record
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         blob = self._read_shard(v)
         try:
-            # Native-scanner dispatch (kernel-mode gated); identical
+            # Native-codec dispatch (kernel-mode gated); identical
             # results and errors to the pure decoder in every mode.
             record = decode_node_table_fast(blob)
         except ShardCodecError:
@@ -1546,19 +1557,9 @@ class _ShardTables:
 
     def __init__(self, store: _ShardStoreBase) -> None:
         self._store = store
-        self._sized: Dict[int, Any] = {}
 
     def __getitem__(self, v: int) -> Any:
-        table = self._sized.get(v)
-        if table is None:
-            table = self._store.node(v).sized_table()
-            self._sized[v] = table
-            if (
-                self._store.max_resident is not None
-                and len(self._sized) > self._store.max_resident
-            ):
-                self._sized.clear()  # cheap reset; rebuilt from residents
-        return table
+        return self._store.node(v).sized_table()
 
 
 class _ShardLabels:

@@ -63,6 +63,28 @@ version 2 closes that hole with CRC32 everywhere:
 ``encode_pack(..., checksums=True)`` writes pack v2; v1 packs (and v1
 per-file shard dirs) still load unchanged.
 
+Native-accelerated codec
+------------------------
+Under the ``native`` kernel mode (``REPRO_KERNEL=native``, or ``auto``
+when the C library loads) both directions run in C —
+``repro_decode_table`` / ``repro_encode_table`` in
+``repro/native/_kernels.c``, written against the CPython API:
+
+* :func:`decode_node_table_fast` gets the record's owner, neighbour
+  ids, weights, label and categories as Python objects built straight
+  from the payload bytes in one pass (the buffer export is released
+  before the call returns, so an mmap-backed store can close at once),
+* :func:`encode_node_table` gets the payload bytes written straight
+  from the record's objects.
+
+The C side covers the common domain — exact builtin types, ints within
+int64, string category names, nesting up to 200 levels — and returns
+``None`` for everything else; the pure functions then run and produce
+the canonical bytes or raise the canonical error, so output *and*
+error messages are identical in every kernel mode.  Neither side keeps
+scratch between calls, so the threaded cluster server decodes
+concurrently without per-thread state.
+
 Size accounting
 ---------------
 ``encoded_size`` reports the exact byte cost of a record.  The shard
@@ -76,7 +98,6 @@ real on-disk cost next to the paper's word bounds.
 from __future__ import annotations
 
 import struct
-import threading
 import zlib
 from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -291,7 +312,25 @@ def _read_value(data: bytes, pos: int) -> Tuple[Any, int]:
 # node tables
 # ----------------------------------------------------------------------
 def encode_node_table(record: NodeTable) -> bytes:
-    """Pack one :class:`NodeTable` into versioned shard bytes."""
+    """Pack one :class:`NodeTable` into versioned shard bytes.
+
+    Under the ``native`` kernel mode the C encoder writes the payload
+    (see "Native-accelerated codec" in the module docstring); records
+    outside its domain, and every record in the other modes, take the
+    pure encoder.  The bytes are identical either way.
+    """
+    kernels = _native_codec()
+    if kernels is not None:
+        blob = kernels.encode_table(
+            record.owner, record.neighbors, record.label, record.categories
+        )
+        if blob is not None:
+            return blob
+    return _encode_node_table_pure(record)
+
+
+def _encode_node_table_pure(record: NodeTable) -> bytes:
+    """The reference encoder (every kernel mode's fallback)."""
     unit = all(w == 1.0 for _, w in record.neighbors)
     flags = _FLAG_UNIT_WEIGHTS if unit else 0
     out: List[bytes] = [MAGIC, bytes((CODEC_VERSION, flags))]
@@ -373,50 +412,9 @@ def decode_node_table(data: Buffer) -> NodeTable:
 
 
 # ----------------------------------------------------------------------
-# native-accelerated decode
+# native-accelerated codec
 # ----------------------------------------------------------------------
-#: string-span packing of the native scanner's aux words (offset in the
-#: low bits, length above) — mirrored by STR_OFFSET_BITS in _kernels.c
-_STR_OFFSET_BITS = 40
-_STR_OFFSET_MASK = (1 << _STR_OFFSET_BITS) - 1
-#: pseudo-tag the native scanner emits for bare (untagged) counts
-_T_COUNT = 0xF1
-
-
-class _ScanScratch(threading.local):
-    """Per-thread reusable buffers for the native payload scanner.
-
-    The serving stores decode under a threaded TCP server, so the
-    scratch is thread-local; buffers grow to the largest payload seen
-    and are reused for every later decode on that thread.
-    """
-
-    def __init__(self) -> None:
-        self.size = 0
-        self.ids: Any = None
-        self.wts: Any = None
-        self.tags: Any = None
-        self.aux: Any = None
-        self.meta: Any = None
-
-    def ensure(self, n: int) -> "_ScanScratch":
-        if self.size < n:
-            import numpy as np
-
-            cap = max(1024, 1 << max(1, (n - 1).bit_length()))
-            self.ids = np.empty(cap, dtype=np.int64)
-            self.wts = np.empty(cap, dtype=np.float64)
-            self.tags = np.empty(cap, dtype=np.uint8)
-            self.aux = np.empty(cap, dtype=np.int64)
-            self.meta = np.empty(4, dtype=np.int64)
-            self.size = cap
-        return self
-
-
-_SCRATCH = _ScanScratch()
-
-
-def _native_scanner() -> Any:
+def _native_codec() -> Any:
     """The native kernel handle, iff the resolved kernel mode is native."""
     from ..graph.shortest_paths import kernel_mode
 
@@ -427,107 +425,26 @@ def _native_scanner() -> Any:
     return native.try_kernels()
 
 
-def _build_value(
-    tags: List[int], aux: List[int], data: Buffer, i: int
-) -> Tuple[Any, int]:
-    """One value from the scanner's preorder token stream.
-
-    The scanner already validated structure and bounds, so this walker
-    only materialises: ints/floats/bools straight from the aux word,
-    strings from their (offset, length) span over the original buffer.
-    """
-    tag = tags[i]
-    a = aux[i]
-    i += 1
-    # ints and floats are the bulk of real payloads (bunch/cluster
-    # dicts); their aux words are already the final Python values —
-    # floats were bulk bit-cast before the walk (see the caller).
-    if tag == _T_INT or tag == _T_FLOAT:
-        return a, i
-    if tag == _T_STR:
-        off = a & _STR_OFFSET_MASK
-        end = off + (a >> _STR_OFFSET_BITS)
-        return bytes(data[off:end]).decode("utf-8"), i
-    if tag == _T_NONE:
-        return None, i
-    if tag == _T_TRUE:
-        return True, i
-    if tag == _T_FALSE:
-        return False, i
-    if tag in (_T_TUPLE, _T_LIST):
-        items = []
-        for _ in range(a):
-            item, i = _build_value(tags, aux, data, i)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), i
-    # _T_DICT: the scanner admits no other tag into the stream
-    result = {}
-    for _ in range(a):
-        k, i = _build_value(tags, aux, data, i)
-        v, i = _build_value(tags, aux, data, i)
-        result[k] = v
-    return result, i
-
-
 def decode_node_table_fast(data: Buffer) -> NodeTable:
-    """:func:`decode_node_table` through the native scanner when on.
+    """:func:`decode_node_table` through the native codec when on.
 
     Dispatches on the resolved ``REPRO_KERNEL`` mode: under ``native``
-    the payload is tokenised by the C scanner (varints, zigzag
-    unpacking, weight block, string spans) in one pass and assembled
-    here from the token stream.  *Any* anomaly the scanner meets —
-    truncation, foreign version, a non-string category name, an unknown
-    tag — makes it stand down and this function re-run the pure
-    decoder, so error messages and edge-case behaviour stay identical
-    across kernel modes.  Pure/numpy modes call the pure decoder
-    directly.
+    the C decoder builds the record's fields in one pass over the
+    buffer (releasing it before it returns, so an mmap can close right
+    after).  *Any* payload outside its fast domain — truncation, a
+    foreign version, a non-string category name, an int beyond int64,
+    an unknown tag — makes it return ``None`` and this function re-run
+    the pure decoder, so error messages and edge-case behaviour stay
+    identical across kernel modes.  Pure/numpy modes call the pure
+    decoder directly.
     """
-    kernels = _native_scanner()
-    if kernels is None:
+    kernels = _native_codec()
+    fields = None if kernels is None else kernels.decode_table(data)
+    if fields is None:
         return decode_node_table(data)
-    import numpy as np
-
-    buf = np.frombuffer(data, dtype=np.uint8)
-    scratch = _SCRATCH.ensure(buf.size)
-    ok = kernels.scan_table(
-        buf, scratch.ids, scratch.wts, scratch.tags, scratch.aux,
-        scratch.meta,
-    )
-    if not ok:
-        return decode_node_table(data)
-    owner = int(scratch.meta[0])
-    degree = int(scratch.meta[1])
-    unit = bool(scratch.meta[2])
-    ntok = int(scratch.meta[3])
-    ids = scratch.ids[:degree].tolist()
-    weights = [1.0] * degree if unit else scratch.wts[:degree].tolist()
-    tags_arr = scratch.tags[:ntok]
-    aux_arr = scratch.aux[:ntok]
-    tags = tags_arr.tolist()
-    aux = aux_arr.tolist()
-    # Bulk bit-cast every float token's aux word to its Python float up
-    # front — the walker then reads finals only (no per-token struct).
-    is_float = tags_arr == _T_FLOAT
-    if is_float.any():
-        for j, val in zip(
-            np.flatnonzero(is_float).tolist(),
-            aux_arr.view(np.float64)[is_float].tolist(),
-        ):
-            aux[j] = val
-    label, i = _build_value(tags, aux, data, 0)
-    cat_count = aux[i]  # _T_COUNT
-    i += 1
-    categories = {}
-    for _ in range(cat_count):
-        cat, i = _build_value(tags, aux, data, i)
-        entry_count = aux[i]  # _T_COUNT
-        i += 1
-        entries = {}
-        for _ in range(entry_count):
-            k, i = _build_value(tags, aux, data, i)
-            v, i = _build_value(tags, aux, data, i)
-            entries[k] = v
-        categories[cat] = entries
+    owner, ids, weights, label, categories = fields
+    if weights is None:
+        weights = [1.0] * len(ids)
     return NodeTable(
         owner=owner,
         neighbors=tuple(zip(ids, weights)),

@@ -57,6 +57,9 @@ class NodeTable:
     _port_of: Optional[Dict[int, int]] = field(
         default=None, repr=False, compare=False
     )
+    _table_view: Optional[SizedTable] = field(
+        default=None, repr=False, compare=False
+    )
 
     # -- fixed-port local knowledge ------------------------------------
     def degree(self) -> int:
@@ -89,12 +92,17 @@ class NodeTable:
 
     # -- table views ----------------------------------------------------
     def sized_table(self) -> SizedTable:
-        """The record's table as a :class:`SizedTable` (same accounting)."""
-        table = SizedTable(self.owner)
-        for cat, entries in self.categories.items():
-            for key, value in entries.items():
-                table.put(cat, key, value)
-        return table
+        """The record's table as a :class:`SizedTable` (same accounting).
+
+        A zero-copy, **read-only** view: the table wraps this record's
+        ``categories`` dict itself and is built once per record, so the
+        serving path pays one attribute read per step.  Callers must not
+        ``put`` into it — a write would change the record (and every
+        later view of it).
+        """
+        if self._table_view is None:
+            self._table_view = SizedTable(self.owner, self.categories)
+        return self._table_view
 
     # -- word accounting ------------------------------------------------
     def table_words(self) -> int:

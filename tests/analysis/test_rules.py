@@ -507,10 +507,12 @@ def test_res001_flags_unowned_cdll_and_tempdirs():
 
         def load(path):
             lib = ctypes.CDLL(path)
+            codec = ctypes.PyDLL(path)
             scratch = tempfile.mkdtemp()
-            return lib, scratch
+            return lib, codec, scratch
         """
     assert rules_fired(source, "repro/native/__init__.py", "RES001") == [
+        "RES001",
         "RES001",
         "RES001",
     ]
@@ -524,9 +526,11 @@ def test_res001_allows_owned_cdll_and_tempdirs():
         class Kernels:
             def __init__(self, path):
                 self.lib = ctypes.CDLL(path)
+                self.codec = ctypes.PyDLL(path)
 
             def close(self):
                 self.lib = None
+                self.codec = None
 
         def build(cc, target):
             with tempfile.TemporaryDirectory() as tmp:
@@ -549,8 +553,6 @@ CODEC_C_FIXTURE = """\
 #define RT_T_TUPLE 0x06
 #define RT_T_LIST 0x07
 #define RT_T_DICT 0x08
-#define RT_T_COUNT 0xF1
-#define STR_OFFSET_BITS 40
 """
 
 
@@ -569,9 +571,12 @@ def test_codec001_c_mode_flags_value_drift():
 
 
 def test_codec001_c_mode_flags_missing_define():
-    gone = CODEC_C_FIXTURE.replace("#define RT_T_COUNT 0xF1\n", "")
-    report = check(gone, "repro/native/_kernels.c", "CODEC001")
-    assert any("RT_T_COUNT" in f.message for f in report.findings)
+    for line in CODEC_C_FIXTURE.splitlines():
+        name = line.split()[1]
+        gone = CODEC_C_FIXTURE.replace(line + "\n", "")
+        report = check(gone, "repro/native/_kernels.c", "CODEC001")
+        assert [f.rule for f in report.findings] == ["CODEC001"], name
+        assert name in report.findings[0].message
 
 
 def test_codec001_c_mode_honors_slash_noqa():

@@ -4,14 +4,20 @@ The tier's contract is the same one the parallel tier carries:
 ``REPRO_KERNEL`` changes wall-clock, never a single byte of any result.
 Every test here races the native engine against its differential
 references (numpy, pure) on seeded inputs — graphs for the
-delta-stepping batch engine, real and fuzzed shard payloads for the
-pack scanner — and asserts bit/byte identity.  The fallback half
+delta-stepping batch engine, real and fuzzed shard tables for the C
+table codec — and asserts bit/byte identity.  Decoded tables are
+compared type-exactly (``True`` is not ``1`` is not ``1.0``, ``-0.0``
+is not ``0.0``), encoded tables byte for byte, rejected inputs by
+error type and message.  The fallback half
 simulates a compiler-less host (``REPRO_NATIVE_CC=off`` + an empty
 cache): ``auto`` must fall back to numpy with the reason recorded,
 ``native`` must raise the typed :class:`NativeUnavailableError`.
 """
 
 import os
+import random
+import struct
+import sysconfig
 
 import numpy as np
 import pytest
@@ -30,7 +36,6 @@ from repro.graph.generators import (
 from repro.graph.metric import MetricView
 from repro.graph.shortest_paths import all_balls, kernel_mode
 from repro.routing.shard_codec import (
-    ShardCodecError,
     decode_node_table,
     decode_node_table_fast,
     encode_node_table,
@@ -115,11 +120,46 @@ def test_cold_cache_builds_content_hashed_library(fresh_native, tmp_path):
     native.reset_native()
     kernels = native.try_kernels()
     assert kernels is not None
-    expected = cache / f"repro_kernels-{native.source_hash()}.so"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    expected = cache / f"repro_kernels-{native.source_hash()}{suffix}"
     assert kernels.path == str(expected)
     assert expected.exists()
     # no stranded compile tempdirs next to the published library
     assert [p.name for p in cache.iterdir()] == [expected.name]
+
+
+def test_library_name_carries_the_interpreter_abi(monkeypatch):
+    """The codec links against the CPython API: a library built for one
+    interpreter ABI must never be picked up by another."""
+    monkeypatch.setattr(
+        sysconfig, "get_config_var",
+        lambda name: ".cpython-99-fake.so" if name == "EXT_SUFFIX" else None,
+    )
+    name = os.path.basename(native.kernel_library_path())
+    assert name == f"repro_kernels-{native.source_hash()}.cpython-99-fake.so"
+
+
+def test_missing_python_headers_are_a_typed_build_error(
+    fresh_native, tmp_path
+):
+    if native.compiler() is None:
+        pytest.skip("no C compiler on this host")
+    headerless = tmp_path / "include"
+    headerless.mkdir()
+    real = sysconfig.get_paths
+    fresh_native.setattr(
+        sysconfig, "get_paths",
+        lambda *a, **k: {**real(*a, **k), "include": str(headerless)},
+    )
+    fresh_native.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+    native.reset_native()
+    _set_mode(fresh_native, "native")
+    with pytest.raises(native.NativeBuildError, match="Python.h"):
+        kernel_mode()
+    native.reset_native()
+    _set_mode(fresh_native, "auto")
+    assert kernel_mode() == "numpy"
+    assert "Python.h" in native.fallback_reason()
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +227,47 @@ def test_lazy_metric_counts_identical(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# type-exact comparison
+# ----------------------------------------------------------------------
+def assert_identical(a, b, path="$"):
+    """``a == b`` with exact types, float bits and dict order.
+
+    Plain ``==`` holds for ``True == 1 == 1.0`` and ``-0.0 == 0.0``;
+    a decoder that returned the wrong one of those would pass it.
+    """
+    assert type(a) is type(b), f"{path}: {type(a)} vs {type(b)}"
+    if isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b), (
+            f"{path}: {a!r} vs {b!r}"
+        )
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), f"{path}: length {len(a)} vs {len(b)}"
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_identical(x, y, f"{path}[{i}]")
+    elif isinstance(a, dict):
+        assert len(a) == len(b), f"{path}: size {len(a)} vs {len(b)}"
+        for i, ((ka, va), (kb, vb)) in enumerate(zip(a.items(), b.items())):
+            assert_identical(ka, kb, f"{path}.keys()[{i}]")
+            assert_identical(va, vb, f"{path}[{ka!r}]")
+    elif isinstance(a, NodeTable):
+        for name in ("owner", "neighbors", "label", "categories"):
+            assert_identical(
+                getattr(a, name), getattr(b, name), f"{path}.{name}"
+            )
+    else:
+        assert a == b, f"{path}: {a!r} vs {b!r}"
+
+
+def test_assert_identical_sees_what_equality_hides():
+    for a, b in ((True, 1), (1, 1.0), (-0.0, 0.0), ([(0.0,)], [(-0.0,)]),
+                 ({1: 0, 2: 0}, {2: 0, 1: 0})):
+        assert a == b
+        with pytest.raises(AssertionError):
+            assert_identical(a, b)
+    assert_identical(float("nan"), float("nan"))
+
+
+# ----------------------------------------------------------------------
 # registered schemes: byte-identical builds under the native engine
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
@@ -215,7 +296,7 @@ def test_registered_schemes_identical_under_native(monkeypatch, spec):
 @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
 def test_scheme_payload_decode_parity(monkeypatch, spec):
     """Every registered scheme's real encoded tables decode identically
-    through the native scanner and the pure decoder."""
+    through the C decoder and the pure decoder."""
     _require_native()
     pytest.importorskip("scipy")
     n = 120
@@ -229,11 +310,37 @@ def test_scheme_payload_decode_parity(monkeypatch, spec):
     pure = [decode_node_table(p) for p in payloads]
     _set_mode(monkeypatch, "native")
     fast = [decode_node_table_fast(p) for p in payloads]
-    assert fast == pure
+    assert_identical(fast, pure)
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
+def test_scheme_payload_encode_parity(monkeypatch, spec):
+    """Every registered scheme's real tables encode to the same bytes
+    through the C encoder as through the pure encoder — natively, not
+    by falling back."""
+    _require_native()
+    pytest.importorskip("scipy")
+    n = 120
+    gu = erdos_renyi(n, 0.06, seed=81)
+    g = with_random_weights(gu, seed=82) if spec.prefers_weighted else gu
+    _set_mode(monkeypatch, "numpy")
+    scheme = spec.factory(
+        g, metric=MetricView(g, mode="lazy"), **spec.defaults()
+    )
+    records = scheme.compile_tables()
+    pure = [encode_node_table(r) for r in records]
+    _set_mode(monkeypatch, "native")
+    assert [encode_node_table(r) for r in records] == pure
+    kernels = native.load_kernels()
+    assert all(
+        kernels.encode_table(r.owner, r.neighbors, r.label, r.categories)
+        is not None
+        for r in records
+    )
 
 
 # ----------------------------------------------------------------------
-# pack decode: fuzzed payloads, fallback values, error parity
+# table codec: fuzzed tables, fallback values, error parity
 # ----------------------------------------------------------------------
 def _rand_key(rng):
     return rng.choice(
@@ -252,7 +359,7 @@ def _rand_value(rng, depth=0):
         kinds += ["tuple", "list", "dict"]
     kind = rng.choice(kinds)
     if kind == "int":
-        # includes magnitudes past int64 — the C scanner must punt
+        # includes magnitudes past int64 — the C codec must punt
         # those to the pure decoder, invisibly to the caller
         return rng.choice(
             [
@@ -264,9 +371,14 @@ def _rand_value(rng, depth=0):
             ]
         )
     if kind == "float":
-        return rng.choice([rng.random() * 1e6, -0.0, 1e-308, float("inf")])
+        return rng.choice(
+            [rng.random() * 1e6, -0.0, 0.0, 1.0, 1e-308, 5e-324,
+             float("inf"), float("-inf"), float("nan")]
+        )
     if kind == "str":
-        return rng.choice(["", "plain", "naïve—ünïcode", "x" * 300])
+        return rng.choice(
+            ["", "plain", "naïve—ünïcode", "x" * 300, "日本語", "🛰️ emoji"]
+        )
     if kind == "none":
         return None
     if kind == "bool":
@@ -304,23 +416,134 @@ def _rand_table(rng, owner):
     )
 
 
-def test_fuzzed_payload_decode_parity(monkeypatch):
-    _require_native()
-    import random
+def _nested(depth):
+    """A value nested ``depth`` containers deep around a leaf."""
+    value = (1, "leaf", 2.5)
+    for i in range(depth):
+        value = [value] if i % 3 == 0 else (value,) if i % 3 == 1 else {
+            i: value
+        }
+    return value
 
+
+#: nesting around the C codec's depth bound (MAX_VALUE_DEPTH = 200):
+#: shallower values run natively, deeper ones through the pure codec
+_DEPTHS = (198, 199, 200, 201, 202, 260)
+
+
+def _fuzz_corpus():
     rng = random.Random(20260808)
     tables = [_rand_table(rng, i) for i in range(250)]
+    for i, depth in enumerate(_DEPTHS):
+        tables.append(
+            NodeTable(
+                owner=1000 + i,
+                neighbors=((1, 1.0), (2, 1.0)),
+                label=_nested(depth),
+                categories={"deep": {depth: _nested(depth)}},
+            )
+        )
+    tables.append(
+        NodeTable(
+            owner=2 ** 63 - 1,
+            neighbors=((2 ** 63 - 1, float("nan")), (0, -0.0)),
+            label=(True, 1, 1.0, False, 0, 0.0, -0.0, None),
+            categories={"collide": {1: "int", True: "bool", 1.0: "float"}},
+        )
+    )
+    return tables
+
+
+def test_fuzzed_payload_decode_parity(monkeypatch):
+    _require_native()
+    tables = _fuzz_corpus()
+    _set_mode(monkeypatch, "numpy")
     payloads = [encode_node_table(t) for t in tables]
     pure = [decode_node_table(p) for p in payloads]
     _set_mode(monkeypatch, "native")
     fast = [decode_node_table_fast(p) for p in payloads]
-    assert fast == pure
-    assert pure == tables
+    assert_identical(fast, pure)
+    assert_identical(pure, tables)
+    # both halves of the dispatch ran: native decodes and fallbacks
+    kernels = native.load_kernels()
+    handled = [kernels.decode_table(p) is not None for p in payloads]
+    assert 0 < sum(handled) < len(handled)
+
+
+def test_fuzzed_payload_encode_parity(monkeypatch):
+    _require_native()
+    tables = _fuzz_corpus()
+    _set_mode(monkeypatch, "numpy")
+    pure = [encode_node_table(t) for t in tables]
+    _set_mode(monkeypatch, "native")
+    assert [encode_node_table(t) for t in tables] == pure
+    kernels = native.load_kernels()
+    handled = [
+        kernels.encode_table(t.owner, t.neighbors, t.label, t.categories)
+        is not None
+        for t in tables
+    ]
+    assert 0 < sum(handled) < len(handled)
+    # the depth bound is where the fast domain ends
+    deep = dict(zip(_DEPTHS, handled[250:250 + len(_DEPTHS)]))
+    assert deep[198] and not deep[202]
+
+
+def _outcome(fn, *args):
+    """``("ok", result)`` or ``("raise", type, message)``."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the parity under test is the error itself
+        return ("raise", type(exc), str(exc))
+
+
+class _Opaque:
+    pass
+
+
+class _IntSubclass(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        NodeTable(owner=-1, neighbors=(), label=None, categories={}),
+        NodeTable(owner=1, neighbors=((-5, 1.0),), label=None,
+                  categories={}),
+        NodeTable(owner=1, neighbors=(), label=2 ** 80, categories={}),
+        NodeTable(owner=1, neighbors=(), label={1, 2}, categories={}),
+        NodeTable(owner=1, neighbors=(), label=None,
+                  categories={"c": {"k": _Opaque()}}),
+        NodeTable(owner=1, neighbors=(), label="\ud800", categories={}),
+        NodeTable(owner=1, neighbors=(), label=None,
+                  categories={"c": {"k": frozenset()}}),
+        NodeTable(owner=1.5, neighbors=(), label=None, categories={}),
+        # outside the fast domain but encodable: the pure bytes win
+        NodeTable(owner=1, neighbors=(), label=_IntSubclass(3),
+                  categories={7: {"k": 1}}),
+        NodeTable(owner=1, neighbors=((2, 3),), label=2 ** 70,
+                  categories={}),
+    ],
+    ids=[
+        "negative-owner", "negative-neighbour", "int-past-77-bits", "set",
+        "opaque-object", "lone-surrogate", "frozenset", "float-owner",
+        "int-subclass-and-int-category", "int-weight-and-big-int",
+    ],
+)
+def test_encode_rejection_parity(monkeypatch, record):
+    """Inputs the C encoder leaves alone behave exactly as the pure
+    encoder says: same bytes, or same error type and message."""
+    _require_native()
+    _set_mode(monkeypatch, "numpy")
+    pure = _outcome(encode_node_table, record)
+    _set_mode(monkeypatch, "native")
+    assert _outcome(encode_node_table, record) == pure
 
 
 def test_decode_error_parity(monkeypatch):
     """Malformed payloads raise the same typed error through the fast
-    path as through the pure decoder — the scanner never guesses."""
+    path as through the pure decoder — the C decoder never guesses."""
     _require_native()
     good = encode_node_table(
         NodeTable(
@@ -330,31 +553,35 @@ def test_decode_error_parity(monkeypatch):
             categories={"ball": {3: (1.0, 2)}},
         )
     )
+    # header + owner 7 + degree 0 + label None, then the category count
+    head = b"RT\x01\x01\x07\x00\x00"
     corrupt = [
         good[:3],                       # truncated header
         b"XX" + good[2:],               # bad magic
         good[:2] + b"\x63" + good[3:],  # future codec version
         good + b"\x00\x01",             # trailing bytes
         good[: len(good) - 2],          # truncated value stream
+        head + b"\x01\x03\x02\x00",     # int category name
+        head + b"\x01\x05\x01c\x01\x07\x00\x00",  # unhashable list key
+        head + b"\x01\x05\x02\xc3\x28\x00",      # invalid UTF-8
+        head + b"\x01\x05\x01c\x01\x03" + b"\xff" * 10 + b"\x01\x00",
+        head + b"\x01\x05\x01c\x01\x03" + b"\xff" * 11 + b"\x01\x00",
+        head + b"\x01\x09",              # unknown value tag
+        head + b"\x01\x05\x01c\x05\x00",  # entry count past the end
     ]
     _set_mode(monkeypatch, "native")
     for blob in corrupt:
-        try:
-            decode_node_table(blob)
-            pure_exc = None
-        except ShardCodecError as exc:
-            pure_exc = str(exc)
-        if pure_exc is None:
-            assert decode_node_table_fast(blob) == decode_node_table(blob)
-            continue
-        with pytest.raises(ShardCodecError) as info:
-            decode_node_table_fast(blob)
-        assert str(info.value) == pure_exc
+        pure = _outcome(decode_node_table, blob)
+        fast = _outcome(decode_node_table_fast, blob)
+        if pure[0] == "ok":
+            assert_identical(fast[1], pure[1])
+        else:
+            assert fast == pure
 
 
 def test_fast_decode_outside_native_mode_is_pure(monkeypatch):
     """decode_node_table_fast is mode-gated: under numpy/pure it must
-    not touch the scanner at all (serving code calls it unconditionally)."""
+    not touch the C decoder at all (serving code calls it unconditionally)."""
     payload = encode_node_table(
         NodeTable(owner=1, neighbors=((2, 1.0),), label=None, categories={})
     )
