@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..graph.metric import MetricView
+from ..graph.trees import RootedTree
 from ..structures.sampling import sample_cluster_bounded
 
 __all__ = ["SampledHierarchy"]
@@ -128,11 +129,17 @@ class SampledHierarchy:
         limits = np.array(
             [level_limits[int(self._level_of[w]) + 1] for w in range(n)]
         )
+        # The sweep's member distances are kept until the cluster's tree
+        # is built (or release_cluster_distances() drops them), so the
+        # tree's closure check needs no full row.
+        self._member_dists: Dict[int, np.ndarray] = {}
         for w, verts, dists in metric.iter_bounded_rows(limits):
             next_dist = self._level_dist[int(self._level_of[w]) + 1]
-            members = verts[dists < next_dist[verts]].tolist()
+            inside = dists < next_dist[verts]
+            members = verts[inside].tolist()
             if members:
                 self._clusters[w] = members
+                self._member_dists[w] = dists[inside]
             for v in members:
                 self._bunches[v].append(w)
 
@@ -164,6 +171,29 @@ class SampledHierarchy:
     def clusters(self):
         """``(w, C(w))`` pairs for every *nonempty* cluster, ``w`` ascending."""
         return self._clusters.items()
+
+    def cluster_tree(self, w: int) -> RootedTree:
+        """Shortest-path tree rooted at ``w`` spanning ``C(w)``.
+
+        ``C(w)`` is shortest-path closed toward ``w`` (the argument of
+        :meth:`BunchStructure.cluster_tree` with ``A_{level_of(w)+1}`` as
+        the landmark set).  The closure check reads the cluster sweep's
+        distances, released once used; the tree itself is not cached here
+        (schemes memoize it per ``(root, members)``), and a repeat call
+        reads the root's full row instead.
+        """
+        return RootedTree(
+            self.metric.restricted_spt_parents(
+                w, self.cluster(w), self._member_dists.pop(w, None)
+            )
+        )
+
+    def release_cluster_distances(self) -> None:
+        """Drop the cluster sweep's distances not yet used by a tree.
+
+        Same contract as :meth:`BunchStructure.release_cluster_distances`.
+        """
+        self._member_dists.clear()
 
     def bunch(self, v: int) -> List[int]:
         """``B(v)`` sorted by vertex id."""

@@ -69,6 +69,7 @@ class PROracle:
         hitting = greedy_hitting_set(balls)
         self.landmarks = sorted(set(sampled) | set(hitting))
         self.bunches = BunchStructure(self.metric, self.landmarks)
+        self.bunches.release_cluster_distances()  # no trees here
 
         # Per-vertex stores (distances as ints — unweighted).
         self._ball_dist: List[Dict[int, int]] = []

@@ -31,7 +31,6 @@ from typing import Any, Dict, Optional
 
 from ..graph.core import Graph
 from ..graph.metric import MetricView
-from ..graph.trees import RootedTree
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
 from ..routing.tree_routing import TreeRouting, tree_step
@@ -74,18 +73,17 @@ class ThorupZwickScheme(SchemeBase):
         # Trees T(w) over clusters; members keep records, labels go into
         # destination labels (and the owner's table at level 0).  Each
         # restricted SPT runs on the cluster's induced subgraph through the
-        # CSR kernel (work proportional to the cluster, not the graph).
+        # CSR kernel (work proportional to the cluster, not the graph) and
+        # checks closure against the hierarchy's cluster-sweep distances.
         self._trees: Dict[int, TreeRouting] = {}
         for w, members in self.hierarchy.clusters():
             tree = self._tree_routing(
-                w, members,
-                lambda w=w, members=members: RootedTree(
-                    self.metric.restricted_spt_parents(w, members)
-                ),
+                w, members, lambda w=w: self.hierarchy.cluster_tree(w)
             )
             self._trees[w] = tree
             for v in members:
                 self._tables[v].put("tztree", w, tree.record_of(v))
+        self.hierarchy.release_cluster_distances()  # memo hits left some
 
         # 4k-5 refinement: u ∉ A_1 stores its own cluster's member labels.
         level1 = set(self.hierarchy.level(1))

@@ -61,11 +61,10 @@ class TZOracle:
                 )
             self._pivots = [[(v, 0.0)] for v in graph.vertices()]
             return
-        self.hierarchy = (
-            hierarchy
-            if hierarchy is not None
-            else SampledHierarchy(self.metric, k, seed=seed)
-        )
+        if hierarchy is None:
+            hierarchy = SampledHierarchy(self.metric, k, seed=seed)
+            hierarchy.release_cluster_distances()  # no trees here
+        self.hierarchy = hierarchy
         self._bunch_dist: List[Dict[int, float]] = []
         for v in graph.vertices():
             row = self.metric.row(v)

@@ -30,6 +30,30 @@ Whole-matrix consumers were rewritten against the row-oriented API
 remains as an escape hatch that materializes (and keeps) the full
 symmetrized matrix.
 
+In lazy mode the operations that still compute full rows (each one
+counted in :attr:`MetricView.rows_computed`) are:
+
+* :meth:`row` / :meth:`d` on an LRU miss, and :meth:`rows` /
+  :meth:`columns` for the requested sources (landmark columns);
+* :meth:`next_hop`'s scalar scan — one row per neighbour of ``u`` on a
+  miss, which makes :meth:`shortest_path` and sequence construction the
+  remaining ``O(n)``-rows-per-build cliff — and
+  :meth:`build_next_hop_cache`;
+* :meth:`ball` and :meth:`ball_radius` (one row of the centre);
+* the blockwise full scans behind :meth:`diameter`,
+  :meth:`min_pairwise_distance`, :meth:`normalized_diameter`,
+  :meth:`tight_min_weight` and :attr:`matrix`;
+* the first :attr:`tol` read when no row has been computed yet (row 0,
+  also what :meth:`is_connected` reads);
+* :meth:`restricted_spt_parents` called without member distances, and
+  :meth:`iter_bounded_rows` / :meth:`count_rows_below` without the CSR
+  kernel (pure dispatch), which filter full rows.
+
+With the CSR kernel, cluster scans (:meth:`iter_bounded_rows`),
+:meth:`all_balls` and the cluster trees the Section 2 structures build
+from their sweep's own distances compute none (:meth:`spt_parents`
+runs one uncounted predecessor Dijkstra per root).
+
 Canonical row orientation
 -------------------------
 On weighted graphs a float shortest-path sum depends on the accumulation
@@ -660,7 +684,10 @@ class MetricView:
         return parents
 
     def restricted_spt_parents(
-        self, root: int, members: Sequence[int]
+        self,
+        root: int,
+        members: Sequence[int],
+        member_dists: Optional[Sequence[float]] = None,
     ) -> Dict[int, int]:
         """SPT parents restricted to a shortest-path-closed member set.
 
@@ -674,23 +701,36 @@ class MetricView:
         distances: they coincide exactly when the member set realizes all
         its shortest paths internally.  Both dispatch paths apply the same
         criterion, so they accept and reject the same member sets.
+
+        ``member_dists[i]`` may supply the global ``d(root, members[i])``
+        — the cluster structures pass the distances their bounded-row
+        sweep already computed; otherwise they are read from
+        ``row(root)``, one full row on a lazy metric.  The check is the
+        same either way.
         """
         member_set = set(members)
         if root not in member_set:
             raise ValueError(f"root {root} not among members")
+        if member_dists is not None and len(member_dists) != len(members):
+            raise ValueError(
+                f"{len(member_dists)} member distances for "
+                f"{len(members)} members"
+            )
         dist, parent = subgraph_dijkstra(self.graph, root, members)
-        row = self.row(root)
+        if member_dists is None:
+            row = self.row(root)
+            member_dists = [row[v] for v in members]
         tol = self.tol
         out = {root: root}
-        for v in members:
+        for v, gv in zip(members, member_dists):
             if v == root:
                 continue
             dv = dist.get(v, _INF)
-            if not math.isfinite(dv) or abs(dv - float(row[v])) > tol:
+            if not math.isfinite(dv) or abs(dv - float(gv)) > tol:
                 raise ValueError(
                     f"member set not shortest-path closed toward {root}: "
                     f"induced distance of {v} is {dv}, global is "
-                    f"{float(row[v])}"
+                    f"{float(gv)}"
                 )
             out[v] = parent[v]
         return out

@@ -52,7 +52,26 @@ def words_of(value: Any) -> int:
     Scalars cost one word; containers cost the sum of their contents;
     ``None`` and booleans cost nothing extra (they encode a flag inside an
     existing word in a real implementation).
+
+    Exact builtin scalars and sequences take a ``type()`` fast path ahead
+    of the ``isinstance`` chain; ``bool``, ``None``, subclasses (numpy
+    scalars, enums) and ``.words()`` objects fall through to it, so every
+    value costs the same words either way.
     """
+    t = type(value)
+    if t is int or t is float or t is str:
+        return 1
+    if t is tuple or t is list:
+        # Sizing scalar items inline halves a whole-table walk (most
+        # entries are tuples of ints) compared with recursing per item.
+        total = 0
+        for item in value:
+            ti = type(item)
+            if ti is int or ti is float or ti is str:
+                total += 1
+            else:
+                total += words_of(item)
+        return total
     if value is None or isinstance(value, bool):
         return 0
     if isinstance(value, (int, float, str)):
@@ -204,8 +223,9 @@ def aggregate_scheme_stats(
     table_words = []
     breakdown_max: Dict[str, int] = {}
     for table in tables:
-        table_words.append(table.total_words())
-        for cat, w in table.words_by_category().items():
+        by_category = table.words_by_category()
+        table_words.append(sum(by_category.values()))
+        for cat, w in by_category.items():
             breakdown_max[cat] = max(breakdown_max.get(cat, 0), w)
     label_words = [words_of(label) for label in labels]
     denom = max(n, 1)

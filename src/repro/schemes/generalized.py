@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..core.technique2 import Technique2
 from ..graph.core import Graph
 from ..graph.metric import MetricView
-from ..graph.trees import RootedTree
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
 from ..routing.tree_routing import TreeRouting, tree_step
@@ -124,15 +123,14 @@ class _GeneralizedScheme(SchemeBase):
                     continue
                 tree = self._tree_routing(
                     w, members,
-                    lambda w=w, members=members: RootedTree(
-                        self.metric.restricted_spt_parents(w, members)
-                    ),
+                    lambda b=self.bunches[i], w=w: b.cluster_tree(w),
                 )
                 level_trees[w] = tree
                 for v in members:
                     self._tables[v].put(f"ctree{i}", w, tree.record_of(v))
                     self._tables[w].put(f"clabel{i}", v, tree.label_of(v))
             self._cluster_trees.append(level_trees)
+            self.bunches[i].release_cluster_distances()  # memo hits
 
         # Intersection tables: best w in B_i(u) ∩ B_{L_{l-i}}(v), per i.
         for u in graph.vertices():

@@ -100,6 +100,7 @@ class Stretch2Plus1Scheme(SchemeBase):
             for v in members:
                 self._tables[v].put("ctree", w, tree.record_of(v))
                 self._tables[w].put("clabel", v, tree.label_of(v))
+        self.bunches.release_cluster_distances()  # memo hits left some
 
         # Global landmark trees: every vertex stores a record per landmark.
         # One batched predecessor sweep stages all the landmark SPTs up

@@ -97,6 +97,7 @@ class Stretch5PlusScheme(SchemeBase):
             for v in members:
                 self._tables[v].put("ctree", w, tree.record_of(v))
                 self._tables[w].put("clabel", v, tree.label_of(v))
+        self.bunches.release_cluster_distances()  # memo hits left some
 
         self.colors = self._find_coloring(self.family, self.q, seed)
         classes = color_classes(self.colors, self.q)

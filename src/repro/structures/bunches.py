@@ -49,11 +49,17 @@ class BunchStructure:
         # that radius — the metric's bounded-row sweep (batched truncated
         # delta-stepping on a lazy metric, plain row reads when dense)
         # instead of a full blockwise APSP.
+        # The sweep's member distances are kept until the cluster's tree
+        # is built (or release_cluster_distances() drops them), so the
+        # tree's closure check needs no full row.
+        self._member_dists: Dict[int, np.ndarray] = {}
         limit = float(d_to_a.max()) if n else 0.0
         for w, verts, dists in metric.iter_bounded_rows(limit):
-            members = verts[dists < d_to_a[verts]].tolist()
+            inside = dists < d_to_a[verts]
+            members = verts[inside].tolist()
             if members:
                 self._clusters[w] = members
+                self._member_dists[w] = dists[inside]
             for v in members:
                 self._bunches[v].append(w)
         self._trees: Dict[int, RootedTree] = {}
@@ -97,12 +103,25 @@ class BunchStructure:
         Clusters are shortest-path closed toward ``w``: for ``v ∈ C_A(w)``
         and ``x`` on a shortest ``w``–``v`` path,
         ``d(x, A) >= d(v, A) - d(v, x) > d(v, w) - d(v, x) = d(x, w)``,
-        so ``x ∈ C_A(w)`` and the tree is well defined.
+        so ``x ∈ C_A(w)`` and the tree is well defined.  The closure
+        check reads the cluster sweep's distances, released once used.
         """
         if w not in self._trees:
             members = self.cluster(w)
             if not members:
                 raise ValueError(f"cluster of {w} is empty (w is a landmark)")
-            parent = self.metric.restricted_spt_parents(w, members)
+            parent = self.metric.restricted_spt_parents(
+                w, members, self._member_dists.pop(w, None)
+            )
             self._trees[w] = RootedTree(parent)
         return self._trees[w]
+
+    def release_cluster_distances(self) -> None:
+        """Drop the cluster sweep's distances not yet used by a tree.
+
+        Callers that build no more cluster trees (oracles, or schemes
+        whose trees came from a shared memo) call this so the structure
+        does not hold them for its lifetime; a later :meth:`cluster_tree`
+        still works and reads the root's row instead.
+        """
+        self._member_dists.clear()

@@ -193,6 +193,16 @@ class TestFacadeSharing:
         assert substrate.stats()["balls"]["hits"] >= 1
         assert substrate.stats()["ball_ports"]["hits"] >= 1
 
+    def test_cluster_distances_released(self, sessions):
+        # Cluster trees one structure shares with another come from the
+        # tree memo, so their sweep distances are dropped after the loop
+        # rather than held for the substrate's lifetime.
+        _, substrate = sessions
+        structures = [*substrate._bunches.values(),
+                      *substrate._hierarchies.values()]
+        assert structures
+        assert all(not s._member_dists for s in structures)
+
     def test_shared_equals_cold_build(self, sessions):
         built, _ = sessions
         # Sharing must be invisible in the result: a cold thm11 build on

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.baselines.hierarchy import SampledHierarchy
+from repro.graph.generators import random_sparse, with_random_weights
+from repro.graph.metric import MetricView
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +96,34 @@ class TestWeighted:
     def test_validate_on_weighted(self, metric_er_weighted):
         h = SampledHierarchy(metric_er_weighted, 4, seed=2)
         h.validate()
+
+
+class TestClusterTrees:
+    def test_trees_from_sweep_distances(self):
+        g = with_random_weights(random_sparse(300, 1200, seed=5), seed=6)
+        m = MetricView(g, mode="lazy")
+        h = SampledHierarchy(m, 3, seed=2)
+        before = m.rows_computed
+        trees = {w: h.cluster_tree(w) for w, _ in h.clusters()}
+        # the closure checks read the cluster sweep, not full rows
+        assert m.rows_computed == before
+        for w, members in h.clusters():
+            assert trees[w].parent == m.restricted_spt_parents(w, members)
+        # released once used: a repeat call reads the row, same tree
+        w = next(iter(trees))
+        rows = m.rows_computed
+        assert h.cluster_tree(w).parent == trees[w].parent
+        assert m.rows_computed <= rows + 1
+
+    def test_lazy_tol_matches_row_checked_build(self):
+        # The lazy tolerance freezes at its first read.  Row-checked trees
+        # put the first cluster root's row into that scale; sweep-checked
+        # trees read none, and on this graph the scale is the same.
+        g = with_random_weights(random_sparse(300, 1200, seed=5), seed=6)
+        swept, rowed = MetricView(g, mode="lazy"), MetricView(g, mode="lazy")
+        h = SampledHierarchy(swept, 3, seed=2)
+        for w, _ in h.clusters():
+            h.cluster_tree(w)
+        for w, members in SampledHierarchy(rowed, 3, seed=2).clusters():
+            rowed.restricted_spt_parents(w, members)
+        assert swept.tol == rowed.tol

@@ -120,3 +120,15 @@ class TestPROracle:
         o = PROracle(er_unweighted, metric=metric_er, seed=4)
         space = o.space_words()
         assert space["total"] >= space["max_per_vertex"] > 0
+
+
+class TestClusterDistancesReleased:
+    # The oracles build no cluster trees, so they keep none of the
+    # cluster sweep's distances.
+    def test_tz_oracle(self, er_unweighted, metric_er):
+        o = TZOracle(er_unweighted, k=3, metric=metric_er, seed=1)
+        assert not o.hierarchy._member_dists
+
+    def test_pr_oracle(self, er_unweighted, metric_er):
+        o = PROracle(er_unweighted, metric=metric_er, seed=1)
+        assert not o.bunches._member_dists

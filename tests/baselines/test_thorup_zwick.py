@@ -4,7 +4,12 @@ import pytest
 
 from repro.baselines.hierarchy import SampledHierarchy
 from repro.baselines.thorup_zwick import ThorupZwickScheme
-from repro.graph.generators import erdos_renyi, grid, with_random_weights
+from repro.graph.generators import (
+    erdos_renyi,
+    grid,
+    random_sparse,
+    with_random_weights,
+)
 from repro.graph.metric import MetricView
 from repro.routing.simulator import measure_stretch, route
 
@@ -90,3 +95,14 @@ class TestStructure:
         for v in range(0, er_unweighted.n, 9):
             _, entries = s.label_of(v)
             assert len(entries) == 3
+
+
+class TestLazyRowBound:
+    def test_tz2_rows_are_the_landmark_columns(self):
+        # On a lazy metric the only full rows a TZ build needs are the
+        # A_1 columns (plus a few for sampling and the tolerance scale);
+        # cluster trees check closure against the cluster sweep.
+        g = random_sparse(600, 2400, seed=3)
+        m = MetricView(g, mode="lazy")
+        s = ThorupZwickScheme(g, k=2, metric=m, seed=0)
+        assert m.rows_computed <= len(s.hierarchy.level(1)) + 8

@@ -415,12 +415,22 @@ class TestLazyStructuresIntegration:
             if v != 0:
                 assert m.d(0, v) == pytest.approx(m.d(0, p) + g.weight(p, v))
 
-    def test_restricted_spt_rejects_non_closed(self):
+    @pytest.mark.parametrize("source", ["row", "sweep"])
+    def test_restricted_spt_rejects_non_closed(self, source):
         from repro.graph.generators import path as path_graph
 
         m = MetricView(path_graph(5), mode="dense")
-        with pytest.raises(ValueError):
-            m.restricted_spt_parents(0, [0, 4])
+        members = [0, 4]
+        dists = None
+        if source == "sweep":  # what the cluster structures pass
+            ((_, verts, row),) = m.iter_bounded_rows(math.inf, [0])
+            dists = row[np.searchsorted(verts, members)]
+        with pytest.raises(
+            ValueError,
+            match="not shortest-path closed toward 0: induced distance "
+            "of 4 is inf, global is 4.0",
+        ):
+            m.restricted_spt_parents(0, members, dists)
 
 
 def _duplicate_weight_graph(n=50, p=0.12, seed=9, wseed=17):

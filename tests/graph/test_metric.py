@@ -149,10 +149,27 @@ class TestSPTParents:
             if v != 6:
                 assert m.d(6, v) == pytest.approx(m.d(6, p) + g.weight(p, v))
 
-    def test_restricted_rejects_non_closed(self):
+    @pytest.mark.parametrize("source", ["row", "sweep"])
+    def test_restricted_rejects_non_closed(self, source):
         m = MetricView(grid(1, 5))  # path 0-1-2-3-4
-        with pytest.raises(ValueError):
-            m.restricted_spt_parents(0, [0, 4])  # 4's parent 3 missing
+        members = [0, 4]  # 4's parent 3 missing
+        dists = None
+        if source == "sweep":  # what the cluster structures pass
+            ((_, verts, row),) = m.iter_bounded_rows(math.inf, [0])
+            dists = row[np.searchsorted(verts, members)]
+        with pytest.raises(
+            ValueError,
+            match="not shortest-path closed toward 0: induced distance "
+            "of 4 is inf, global is 4.0",
+        ):
+            m.restricted_spt_parents(0, members, dists)
+
+    def test_restricted_rejects_member_dists_length_mismatch(self):
+        m = MetricView(grid(1, 5))
+        with pytest.raises(
+            ValueError, match="2 member distances for 3 members"
+        ):
+            m.restricted_spt_parents(0, [0, 1, 2], [0.0, 1.0])
 
 
 class TestBalls:

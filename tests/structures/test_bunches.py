@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.graph.generators import random_sparse
+from repro.graph.metric import MetricView
 from repro.structures.bunches import BunchStructure
 from repro.structures.sampling import sample_cluster_bounded
 
@@ -132,3 +134,36 @@ class TestClusterTrees:
         assert b.max_bunch_size() == max(
             len(b.bunch(v)) for v in range(metric_er.n)
         )
+
+
+class TestLazyClusterTrees:
+    def test_trees_add_no_rows_beyond_landmark_columns(self):
+        g = random_sparse(600, 2400, seed=3)
+        m = MetricView(g, mode="lazy")
+        a = sample_cluster_bounded(m, 600 ** 0.5, seed=1)
+        before = m.rows_computed
+        b = BunchStructure(m, a)
+        assert m.rows_computed - before <= len(b.landmarks)
+        built = m.rows_computed
+        owners = [w for w in range(m.n) if b.cluster(w)]
+        trees = {w: b.cluster_tree(w) for w in owners}
+        assert m.rows_computed == built
+        assert not b._member_dists  # released as each tree was built
+        for w in owners:  # the row-checked tree is the same tree
+            assert trees[w].parent == m.restricted_spt_parents(
+                w, b.cluster(w)
+            )
+
+    def test_release_drops_unused_distances(self):
+        g = random_sparse(600, 2400, seed=3)
+        m = MetricView(g, mode="lazy")
+        b = BunchStructure(m, sample_cluster_bounded(m, 600 ** 0.5, seed=1))
+        w = next(w for w in range(m.n) if b.cluster(w))
+        b.release_cluster_distances()
+        assert not b._member_dists
+        rows = m.rows_computed
+        # still buildable afterwards, from the root's row
+        assert b.cluster_tree(w).parent == m.restricted_spt_parents(
+            w, b.cluster(w)
+        )
+        assert m.rows_computed == rows + 1
