@@ -29,13 +29,16 @@ per-worker store counters and header bytes (fetched over
 ``MSG_STATUS``), client RPC counters, true wire cost (8-byte frame
 headers and payload bytes, both directions) and request latency
 percentiles (``perf_counter`` durations — instrumentation, never
-algorithmic input).
+algorithmic input).  The percentiles cover the most recent
+``_LATENCY_WINDOW`` (65,536) RPCs; ``latency["count"]`` is the total
+number of RPCs timed over the router's lifetime.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -74,6 +77,11 @@ __all__ = ["ClusterRouter", "DEFAULT_BATCH_SIZE"]
 #: packets per FORWARD frame: large enough to amortise the round trip,
 #: small enough that one worker failure re-routes a bounded batch
 DEFAULT_BATCH_SIZE = 32
+
+#: request latencies kept for the percentiles: the most recent RPCs
+#: only, so a long-running client's memory (and the sort behind every
+#: cluster_stats() call) stays bounded
+_LATENCY_WINDOW = 65536
 
 #: remote typed errors that justify trying another replica owner —
 #: the same set that drives ReplicatedShardStore's on-disk failover
@@ -180,7 +188,8 @@ class ClusterRouter:
         self.frames_received = 0
         self.payload_bytes_sent = 0
         self.payload_bytes_received = 0
-        self._latencies: List[float] = []
+        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
+        self._latency_count = 0
         # counter guard: _pump_once issues the per-worker FORWARD
         # requests concurrently (one thread per worker, each on its own
         # socket), so the shared counters above need a lock
@@ -255,6 +264,7 @@ class ClusterRouter:
         reply, reply_payload = got
         with self._lock:
             self._latencies.append(perf_counter() - started)
+            self._latency_count += 1
             self.frames_received += 1
             self.payload_bytes_received += len(reply_payload)
             self.rpcs += 1
@@ -443,15 +453,18 @@ class ClusterRouter:
         # match the single-process store exactly.  A set staled by a
         # mid-iteration death costs one extra handoff, never a wrong
         # hop.
+        owner_of: Dict[int, int] = {}
         drive_sets: Dict[int, List[int]] = {}
         for g in range(self.placement.groups):
             try:
-                drive_sets.setdefault(self._live_owner(g), []).append(g)
+                owner_of[g] = w = self._live_owner(g)
             except ReplicaExhaustedError:
                 continue  # raises below iff a packet actually needs it
+            drive_sets.setdefault(w, []).append(g)
         buckets: Dict[int, List[_Packet]] = {}
         for p in active:
-            w = self._live_owner(self.placement.group_of(p.current))
+            g = self.placement.group_of(p.current)
+            w = owner_of[g] if g in owner_of else self._live_owner(g)
             buckets.setdefault(w, []).append(p)
         plans = [
             (
@@ -654,16 +667,20 @@ class ClusterRouter:
 
     # -- aggregation ---------------------------------------------------
     def _latency_percentiles(self) -> Dict[str, float]:
-        if not self._latencies:
+        """Percentiles over the latency window; ``count`` is every RPC
+        timed, including those already evicted from the window."""
+        with self._lock:
+            ordered = sorted(self._latencies)
+            total = self._latency_count
+        if not ordered:
             return {"count": 0}
-        ordered = sorted(self._latencies)
-        count = len(ordered)
+        window = len(ordered)
 
         def at(q: float) -> float:
-            return ordered[int(q * (count - 1))] * 1000.0
+            return ordered[int(q * (window - 1))] * 1000.0
 
         return {
-            "count": count,
+            "count": total,
             "p50_ms": at(0.50),
             "p90_ms": at(0.90),
             "p99_ms": at(0.99),

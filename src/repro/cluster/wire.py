@@ -15,7 +15,13 @@ Payloads reuse the shard codec's self-describing tagged value encoding
 (:func:`repro.routing.shard_codec.encode_value`): headers, labels,
 status dicts and per-hop traces cross the wire in the exact format the
 shards on disk already commit to — no second serialization dialect to
-audit.  The one exception is the ``MSG_LOOKUP`` reply, whose payload is
+audit.  Under the ``native`` kernel mode both directions of that codec
+run in C (``repro_encode_value`` / ``repro_decode_value``, see
+:mod:`repro.native`); a payload outside the C fast domain (ints beyond
+int64, nesting past 200 levels, subclasses of the builtin types, bad
+UTF-8, trailing bytes) falls back to the pure Python codec, which stays
+the reference and raises every error.  The bytes on the wire are
+identical in every kernel mode.  The one exception is the ``MSG_LOOKUP`` reply, whose payload is
 the raw :func:`encode_node_table` bytes of the requested shard (the
 value codec carries no bytes leaf, and the shard codec already *is* the
 byte encoding of a record).

@@ -6,12 +6,12 @@ is :mod:`repro.graph.parallel`): a small hand-rolled C source file
 ``cc``/``gcc``/``clang``, no new Python dependencies — into a
 content-hash-named shared library under a cache directory, and loaded
 via ``ctypes`` with zero-copy pointers into the existing CSR numpy
-arrays.  Two kernels ride in it:
+arrays.  Three kernels ride in it:
 
 * the delta-stepping relax/scatter-min inner loop over the flattened
   ``(source, vertex)`` space (:meth:`repro.graph.csr.CSRGraph._delta_batch`
   calls it per open bucket), called through a ``ctypes.CDLL`` handle
-  so it releases the GIL, and
+  so it releases the GIL,
 * the ``NodeTable`` shard codec, written against the CPython API and
   called through a ``ctypes.PyDLL`` handle on the same library:
   ``repro_decode_table`` builds a record's Python objects straight
@@ -21,7 +21,15 @@ arrays.  Two kernels ride in it:
   writes the payload bytes straight from the record (behind
   :func:`repro.routing.shard_codec.encode_node_table`, the save path).
   Either returns ``None`` outside its fast domain and the caller runs
-  the pure codec.
+  the pure codec, and
+* the tagged value codec on the same ``PyDLL`` handle:
+  ``repro_encode_value`` / ``repro_decode_value`` (behind
+  :func:`repro.routing.shard_codec.encode_value` / ``decode_value``)
+  carry every cluster RPC payload.  Their fast domain is the table
+  codec's — exact builtin types, ints within int64, nesting up to 200
+  levels, well-formed UTF-8, hashable keys, no trailing bytes — and
+  anything else returns ``None`` (decode boxes a hit as ``(value,)``)
+  so the pure codec produces the canonical bytes or error.
 
 Because the codec links against the CPython API, the build needs the
 interpreter's headers (``Python.h`` under ``sysconfig``'s include dir)
@@ -273,6 +281,10 @@ class NativeKernels:
         codec.repro_decode_table.argtypes = [obj]
         codec.repro_encode_table.restype = obj
         codec.repro_encode_table.argtypes = [obj, obj, obj, obj]
+        codec.repro_decode_value.restype = obj
+        codec.repro_decode_value.argtypes = [obj]
+        codec.repro_encode_value.restype = obj
+        codec.repro_encode_value.argtypes = [obj]
         self._codec: Optional[ctypes.PyDLL] = codec
 
     def close(self) -> None:
@@ -372,6 +384,25 @@ class NativeKernels:
         result: Optional[bytes] = codec.repro_encode_table(
             owner, neighbors, label, categories
         )
+        return result
+
+    # -- kernel 3: the tagged value codec (cluster wire payloads) ------
+    def decode_value(self, data: Any) -> Optional[Tuple[Any]]:
+        """One tagged value boxed as ``(value,)``, or ``None``: use the
+        pure decoder.  The box keeps a decoded ``None`` distinct from
+        the fallback signal."""
+        codec = self._codec
+        if codec is None:
+            raise NativeExecutionError("kernel library handle is closed")
+        result: Optional[Tuple[Any]] = codec.repro_decode_value(data)
+        return result
+
+    def encode_value(self, value: Any) -> Optional[bytes]:
+        """One value's tagged bytes, or ``None``: use the pure encoder."""
+        codec = self._codec
+        if codec is None:
+            raise NativeExecutionError("kernel library handle is closed")
+        result: Optional[bytes] = codec.repro_encode_value(value)
         return result
 
 

@@ -1,4 +1,4 @@
-/* Native kernels for the two measured hot loops of the reproduction:
+/* Native kernels for the measured hot loops of the reproduction:
  *
  *  1. repro_delta_batch — the bucketed delta-stepping engine of
  *     CSRGraph._delta_batch over the flattened (source, vertex) space.
@@ -24,6 +24,12 @@
  *     — and the caller re-runs the pure Python codec, which produces
  *     the canonical bytes or raises the canonical error.  Neither
  *     keeps state between calls, so concurrent threads are safe.
+ *
+ *  3. repro_decode_value / repro_encode_value — the same tagged value
+ *     encoding on its own (shard_codec.encode_value/decode_value), the
+ *     payload format of every cluster RPC.  Same helpers, same fast
+ *     domain, same None-means-fall-back contract; decode boxes its
+ *     result as (value,) so a decoded None is not mistaken for it.
  *
  * C99 + the CPython headers: compiled on demand by repro.native with
  * the system compiler into a content-hash- and ABI-named shared
@@ -941,18 +947,65 @@ static int wr_table(wr_ctx *w, PyObject *owner, PyObject *neighbors,
     return 0;
 }
 
-/* Encode one NodeTable's fields into the v1 payload bytes, or None. */
-PyObject *repro_encode_table(PyObject *owner, PyObject *neighbors,
-                             PyObject *label, PyObject *categories)
+/* The written bytes when rc == 0, else None; frees the buffer. */
+static PyObject *wr_result(wr_ctx *w, int rc)
 {
-    wr_ctx w = {NULL, 0, 0};
     PyObject *out = NULL;
-    if (wr_table(&w, owner, neighbors, label, categories) == 0)
-        out = PyBytes_FromStringAndSize((const char *)w.buf, w.len);
-    PyMem_Free(w.buf);
+    if (rc == 0)
+        out = PyBytes_FromStringAndSize((const char *)w->buf, w->len);
+    PyMem_Free(w->buf);
     if (out == NULL) {
         PyErr_Clear();
         Py_RETURN_NONE;
     }
     return out;
+}
+
+/* Encode one NodeTable's fields into the v1 payload bytes, or None. */
+PyObject *repro_encode_table(PyObject *owner, PyObject *neighbors,
+                             PyObject *label, PyObject *categories)
+{
+    wr_ctx w = {NULL, 0, 0};
+    return wr_result(&w, wr_table(&w, owner, neighbors, label, categories));
+}
+
+/* ------------------------------------------------------------------ */
+/* kernel 3: the tagged value codec (cluster wire payloads)            */
+/* ------------------------------------------------------------------ */
+
+/* Decode one tagged value (shard_codec.decode_value) from any simple
+ * buffer.  The result is boxed as the 1-tuple (value,) so a decoded
+ * None stays distinct from the None that means "use the pure codec":
+ * truncation, trailing bytes, an int outside int64, nesting past
+ * MAX_VALUE_DEPTH, an unhashable key, invalid UTF-8. */
+PyObject *repro_decode_value(PyObject *buffer)
+{
+    Py_buffer view;
+    PyObject *value, *result = NULL;
+    if (PyObject_GetBuffer(buffer, &view, PyBUF_SIMPLE) != 0) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    rd_ctx c = {(const uint8_t *)view.buf, view.len, 0};
+    value = rd_value(&c, 0);
+    PyBuffer_Release(&view);
+    if (value != NULL) {
+        if (c.pos == c.len) /* else: trailing bytes */
+            result = PyTuple_Pack(1, value);
+        Py_DECREF(value);
+    }
+    if (result == NULL) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    return result;
+}
+
+/* Encode one value (shard_codec.encode_value) into its tagged bytes,
+ * or None outside the fast domain (subclasses, ints beyond int64,
+ * lone surrogates, nesting past MAX_VALUE_DEPTH, foreign types). */
+PyObject *repro_encode_value(PyObject *value)
+{
+    wr_ctx w = {NULL, 0, 0};
+    return wr_result(&w, wr_value(&w, value, 0));
 }

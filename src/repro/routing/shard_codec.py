@@ -66,8 +66,9 @@ per-file shard dirs) still load unchanged.
 Native-accelerated codec
 ------------------------
 Under the ``native`` kernel mode (``REPRO_KERNEL=native``, or ``auto``
-when the C library loads) both directions run in C —
-``repro_decode_table`` / ``repro_encode_table`` in
+when the C library loads) both codecs run in C, both directions —
+``repro_decode_table`` / ``repro_encode_table`` and
+``repro_decode_value`` / ``repro_encode_value`` in
 ``repro/native/_kernels.c``, written against the CPython API:
 
 * :func:`decode_node_table_fast` gets the record's owner, neighbour
@@ -75,7 +76,12 @@ when the C library loads) both directions run in C —
   from the payload bytes in one pass (the buffer export is released
   before the call returns, so an mmap-backed store can close at once),
 * :func:`encode_node_table` gets the payload bytes written straight
-  from the record's objects.
+  from the record's objects,
+* :func:`encode_value` / :func:`decode_value` — the payload codec of
+  every cluster RPC (:mod:`repro.cluster.wire`), four calls per round
+  trip — run the same tagged value reader/writer on one bare value
+  (decode returns its hit boxed as ``(value,)``, so a decoded ``None``
+  is not the fallback signal).
 
 The C side covers the common domain — exact builtin types, ints within
 int64, string category names, nesting up to 200 levels — and returns
@@ -466,8 +472,16 @@ def encode_value(value: Any) -> bytes:
     arbitrarily) — the cluster wire protocol
     (:mod:`repro.cluster.wire`) frames every RPC body with it, so
     headers, labels and status dicts cross the wire in the exact format
-    the shards already commit to (and CODEC001 already audits).
+    the shards already commit to (and CODEC001 already audits).  Under
+    the ``native`` kernel mode the C encoder writes the bytes (see
+    "Native-accelerated codec" in the module docstring); they are
+    identical either way.
     """
+    kernels = _native_codec()
+    if kernels is not None:
+        blob = kernels.encode_value(value)
+        if blob is not None:
+            return blob
     out: List[bytes] = []
     _write_value(out, value)
     return b"".join(out)
@@ -475,6 +489,11 @@ def encode_value(value: Any) -> bytes:
 
 def decode_value(data: Buffer) -> Any:
     """Inverse of :func:`encode_value`; rejects trailing bytes."""
+    kernels = _native_codec()
+    if kernels is not None:
+        boxed = kernels.decode_value(data)
+        if boxed is not None:
+            return boxed[0]
     value, pos = _read_value(data, 0)
     if pos != len(data):
         raise ShardCodecError(

@@ -278,3 +278,64 @@ def test_misrouted_request_is_not_owner_error(served):
 
             with pytest.raises(NotOwnerError):
                 router._request(0, MSG_LABEL, [outside])
+
+
+def test_wire_is_identical_under_pure_and_native_codec(
+    served, reference, workload, monkeypatch
+):
+    """The native value codec changes wall-clock, never the protocol:
+    one batch routed on a 2-worker fleet under REPRO_KERNEL=pure and
+    under native gives bit-identical routes, the same RPC count and the
+    same frames and payload bytes in both directions."""
+    from repro import native
+    from repro.graph.shortest_paths import reset_kernel_choice
+
+    if native.try_kernels() is None:
+        pytest.skip(f"native tier unavailable: {native.fallback_reason()}")
+    name = "tz2"
+
+    def run(mode):
+        monkeypatch.setenv("REPRO_KERNEL", mode)
+        reset_kernel_choice()
+        with start_cluster(served[name], workers=2) as handle:
+            with handle.router() as router:
+                got = router.route_batch(list(workload))
+                stats = router.cluster_stats()
+        routes = [
+            (r.path, r.length, r.max_header_words, r.phase_hops)
+            for r in got
+        ]
+        return routes, stats["rpcs"], stats["wire"]
+
+    calls = []
+    encode = native.NativeKernels.encode_value
+
+    def counted(self, value):
+        calls.append(1)
+        return encode(self, value)
+
+    monkeypatch.setattr(native.NativeKernels, "encode_value", counted)
+    pure = run("pure")
+    assert not calls
+    fast = run("native")
+    assert calls  # the client really ran the C encoder
+    assert fast == pure
+    ref_results, _, _ = reference[name]
+    assert [r[0] for r in pure[0]] == [r.path for r in ref_results]
+
+
+def test_latency_window_stays_bounded(served, workload, monkeypatch):
+    """A long-lived router keeps only the most recent RPC latencies;
+    ``latency["count"]`` still reports every RPC timed."""
+    from repro.cluster import router as router_module
+
+    monkeypatch.setattr(router_module, "_LATENCY_WINDOW", 8)
+    with start_cluster(served["tz2"], workers=2) as handle:
+        with handle.router() as router:
+            for _ in range(3):
+                router.route_batch(list(workload), batch_size=4)
+            assert len(router._latencies) == 8
+            stats = router.cluster_stats()
+            assert len(router._latencies) == 8
+            assert stats["latency"]["count"] == router.rpcs > 8
+            assert stats["latency"]["p50_ms"] <= stats["latency"]["max_ms"]

@@ -14,6 +14,8 @@ cache): ``auto`` must fall back to numpy with the reason recorded,
 ``native`` must raise the typed :class:`NativeUnavailableError`.
 """
 
+import collections
+import enum
 import os
 import random
 import struct
@@ -38,7 +40,9 @@ from repro.graph.shortest_paths import all_balls, kernel_mode
 from repro.routing.shard_codec import (
     decode_node_table,
     decode_node_table_fast,
+    decode_value,
     encode_node_table,
+    encode_value,
 )
 from repro.routing.tables import NodeTable
 
@@ -588,6 +592,183 @@ def test_fast_decode_outside_native_mode_is_pure(monkeypatch):
     for mode in ("pure", "numpy"):
         _set_mode(monkeypatch, mode)
         assert decode_node_table_fast(payload) == decode_node_table(payload)
+
+
+# ----------------------------------------------------------------------
+# value codec (cluster wire payloads): fuzzed, real RPCs, edge cases
+# ----------------------------------------------------------------------
+def _value_fuzz_corpus():
+    rng = random.Random(20261017)
+    values = [_rand_value(rng) for _ in range(400)]
+    values += [_rand_key(rng) for _ in range(50)]
+    values += [_nested(depth) for depth in _DEPTHS]
+    return values
+
+
+def _value_parity(monkeypatch, values):
+    """Encode/decode ``values`` natively and purely; assert identical
+    bytes and type-exact decodes.  Returns the encoded payloads."""
+    _set_mode(monkeypatch, "numpy")
+    pure = [encode_value(v) for v in values]
+    pure_back = [decode_value(b) for b in pure]
+    _set_mode(monkeypatch, "native")
+    assert [encode_value(v) for v in values] == pure
+    assert_identical([decode_value(b) for b in pure], pure_back)
+    return pure
+
+
+def test_fuzzed_value_parity(monkeypatch):
+    _require_native()
+    values = _value_fuzz_corpus()
+    payloads = _value_parity(monkeypatch, values)
+    # both halves of the dispatch ran: native hits and fallbacks
+    kernels = native.load_kernels()
+    encoded = [kernels.encode_value(v) is not None for v in values]
+    decoded = [kernels.decode_value(b) is not None for b in payloads]
+    assert 0 < sum(encoded) < len(values)
+    assert 0 < sum(decoded) < len(payloads)
+    deep = dict(zip(_DEPTHS, encoded[450:450 + len(_DEPTHS)]))
+    assert deep[198] and not deep[202]
+
+
+def test_real_cluster_rpc_value_parity(monkeypatch, tmp_path):
+    """Every FORWARD/LABEL request and reply a real 2-worker fleet
+    exchanges encodes to the same bytes natively as purely, entirely
+    inside the C fast domain."""
+    _require_native()
+    from repro.api import build
+    from repro.cluster import start_cluster
+    from repro.cluster import router as router_module
+    from repro.eval.workloads import sample_pairs
+    from repro.routing.serving import write_shards
+
+    _set_mode(monkeypatch, "numpy")
+    n = 120
+    session = build("tz2", erdos_renyi(n, 0.06, seed=81), seed=6)
+    shards = str(tmp_path / "shards")
+    write_shards(
+        session.scheme, shards, spec_name=session.spec_name,
+        params=session.params, seed=session.seed, packed=True,
+        group_size=16, replicas=2,
+    )
+    sent, received = [], []
+
+    def capture_encode(value):
+        sent.append(value)
+        return encode_value(value)
+
+    def capture_decode(data):
+        value = decode_value(data)
+        received.append(value)
+        return value
+
+    monkeypatch.setattr(router_module, "encode_value", capture_encode)
+    monkeypatch.setattr(router_module, "decode_value", capture_decode)
+    with start_cluster(shards, workers=2) as handle:
+        with handle.router() as router:
+            router.route_batch(sample_pairs(n, 40, seed=3), batch_size=8)
+    monkeypatch.undo()
+    segments = [r for r in received if isinstance(r, list) and r
+                and isinstance(r[0], dict) and "state" in r[0]]
+    assert segments and len(sent) == len(received)
+    values = sent + received
+    _value_parity(monkeypatch, values)
+    kernels = native.load_kernels()
+    assert all(kernels.encode_value(v) is not None for v in values)
+
+
+class _Color(enum.IntEnum):
+    RED = 3
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, 1, 0, (True, 1, False, 0), {True: 1, 0: False}, None,
+     (None,), _Color.RED, _Pair(1, "b"), np.float64(2.5), 2 ** 63,
+     -(2 ** 63) - 1, 2 ** 76, 2 ** 77, -(2 ** 77), _nested(260),
+     "\ud800", {1, 2}, _Opaque(), b"raw"],
+    ids=["true", "false", "one", "zero", "bool-int-tuple",
+         "bool-int-dict", "none", "none-tuple", "intenum", "namedtuple",
+         "np-float64", "past-int64", "below-int64", "76-bits",
+         "77-bits", "neg-77-bits", "depth-260", "lone-surrogate", "set",
+         "opaque", "bytes"],
+)
+def test_value_encode_edge_parity(monkeypatch, value):
+    """Edge values: natively encodable ones match the pure bytes;
+    subclasses and out-of-range values take the fallback and still give
+    the pure bytes, or the pure error type and message."""
+    _require_native()
+    _set_mode(monkeypatch, "numpy")
+    pure = _outcome(encode_value, value)
+    _set_mode(monkeypatch, "native")
+    assert _outcome(encode_value, value) == pure
+    if pure[0] == "ok":
+        back = _outcome(decode_value, pure[1])
+        _set_mode(monkeypatch, "numpy")
+        assert_identical(back, _outcome(decode_value, pure[1]))
+
+
+def test_value_fallback_types_leave_the_c_encoder(monkeypatch):
+    _require_native()
+    kernels = native.load_kernels()
+    for value in (_Color.RED, _Pair(1, 2), np.float64(2.5), 2 ** 64,
+                  "\ud800", _nested(260)):
+        assert kernels.encode_value(value) is None
+    assert kernels.encode_value(True) == b"\x02"
+    assert kernels.encode_value(1) == b"\x03\x02"
+    # a decoded None is boxed, never confused with "fall back"
+    assert kernels.decode_value(b"\x00") == (None,)
+
+
+def test_value_decode_error_parity(monkeypatch):
+    """Malformed value payloads raise the same typed error with the
+    same message through the native dispatch as through the pure
+    decoder; well-formed ones decode type-exactly, from a memoryview
+    as well as from bytes."""
+    _require_native()
+    good = encode_value(("L", 7, [1.5, None, {"k": (True, 0)}]))
+    malformed = [
+        b"",                                # empty
+        good + b"\x00",                     # trailing bytes
+        good[:-1],                          # truncated value stream
+        b"\x04\x00\x00",                    # truncated float
+        b"\x05\x05ab",                      # truncated string
+        b"\x09",                            # unknown value tag
+        b"\x07\x01\x09",                    # unknown tag, nested
+        b"\x05\x02\xc3\x28",                # invalid UTF-8
+        b"\x08\x01\x07\x00\x00",             # unhashable list key
+        b"\x03" + b"\xff" * 10 + b"\x01",     # int past int64 (ok)
+        b"\x03" + b"\xff" * 11 + b"\x01",     # varint too long
+        b"\x07\x05\x00",                    # count past the end
+        b"\x06\x01" * 250 + b"\x00",         # deeper than the C bound
+    ]
+    for blob in [good, *malformed]:
+        _set_mode(monkeypatch, "numpy")
+        pure = _outcome(decode_value, blob)
+        _set_mode(monkeypatch, "native")
+        for data in (blob, memoryview(blob), memoryview(b"?" + blob)[1:]):
+            fast = _outcome(decode_value, data)
+            if pure[0] == "ok":
+                assert_identical(fast[1], pure[1])
+            else:
+                assert fast == pure
+
+
+def test_value_codec_outside_native_mode_is_pure(monkeypatch):
+    """Under pure/numpy the value codec never calls a native symbol."""
+
+    def forbidden(*args):
+        raise AssertionError("native value codec called")
+
+    monkeypatch.setattr(native.NativeKernels, "encode_value", forbidden)
+    monkeypatch.setattr(native.NativeKernels, "decode_value", forbidden)
+    value = ("h", 1, [2.5, None], {"k": True})
+    for mode in ("pure", "numpy"):
+        _set_mode(monkeypatch, mode)
+        assert decode_value(encode_value(value)) == value
 
 
 # ----------------------------------------------------------------------
