@@ -15,6 +15,13 @@ races with bit-identical results:
    identical tables.  The same case races the C table encoder
    (:func:`~repro.routing.shard_codec.encode_node_table`) against the
    pure encoder on the deployment's records, asserting identical bytes.
+3. **Cluster trees** — every Thorup-Zwick ``k = 2`` cluster tree
+   (induced-subgraph SPT, closure check, heavy-path records and labels)
+   on an unweighted ``n ~ 2400`` graph with a lazy metric, built by
+   ``SampledHierarchy.cluster_tree_routing`` under
+   ``REPRO_KERNEL=native`` (one C call per tree) vs ``pure`` (the
+   Python reference).  Identical parents, records, labels and dict
+   order asserted; the full run records the speedup and core count.
 
 Results land in the ``native`` key of ``BENCH_kernel.json`` (full runs
 only; ``REPRO_BENCH_SMOKE=1`` shrinks sizes and skips the write), along
@@ -39,9 +46,16 @@ import pytest
 
 from repro import native
 from repro.api import build
+from repro.baselines.hierarchy import SampledHierarchy
 from repro.graph import shortest_paths as sp
-from repro.graph.generators import erdos_renyi, with_random_weights
+from repro.graph.generators import (
+    erdos_renyi,
+    random_sparse,
+    with_random_weights,
+)
+from repro.graph.metric import MetricView
 from repro.graph.shortest_paths import all_balls
+from repro.routing.ports import PortAssignment
 from repro.routing.shard_codec import (
     decode_node_table,
     decode_node_table_fast,
@@ -51,7 +65,9 @@ from repro.routing.shard_codec import (
 
 from conftest import SMOKE, merge_bench_results, smoke_scale
 
-SECTION = "Native kernel tier: C delta-stepping + C table codec"
+SECTION = (
+    "Native kernel tier: C delta-stepping + C table codec + C cluster trees"
+)
 
 RESULT_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_kernel.json"
@@ -197,6 +213,65 @@ def run_decode(n: int) -> dict:
     return out
 
 
+def _cores() -> int:
+    """Cores this process may run on (what the timings had available)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_cluster_trees(n: int) -> dict:
+    """Every tz2 cluster tree: one C call per tree vs the Python path."""
+    g = random_sparse(n, 4 * n, seed=97)
+    ports = PortAssignment(g)
+    with _kernel_mode("native"):
+        hierarchy = SampledHierarchy(MetricView(g, mode="lazy"), 2, seed=0)
+    # each tree consumes its cluster's sweep distances; every timed
+    # pass starts from the same full set
+    dists = dict(hierarchy._member_dists)
+    roots = [w for w, _ in hierarchy.clusters()]
+
+    def trees():
+        hierarchy._member_dists = dict(dists)
+        return [hierarchy.cluster_tree_routing(w, ports) for w in roots]
+
+    times, results = {}, {}
+    for mode in ("pure", "native"):
+        with _kernel_mode(mode):
+            built = trees()
+            # the kernel's trees carry no RootedTree until one is read
+            assert all((t._tree is None) == (mode == "native") for t in built)
+            results[mode] = [
+                (t.tree.parent, t._records, t._labels) for t in built
+            ]
+            times[mode] = _best_of(trees)
+    identical = all(
+        list(a.items()) == list(b.items())
+        for nat, ref in zip(results["native"], results["pure"])
+        for a, b in zip(nat, ref)
+    )
+    assert identical and len(results["native"]) == len(results["pure"]), (
+        "native cluster trees diverge from the pure reference"
+    )
+    out = {
+        "n": n,
+        "m": g.m,
+        "trees": len(roots),
+        "members": sum(len(hierarchy.cluster(w)) for w in roots),
+        "pure_s": round(times["pure"], 4),
+        "native_s": round(times["native"], 4),
+        "speedup": (
+            round(times["pure"] / times["native"], 2)
+            if times["native"] > 0
+            else None
+        ),
+        "identical": identical,
+        "cores": _cores(),
+    }
+    _RESULTS.setdefault("native", {})["cluster_trees"] = out
+    return out
+
+
 def _flush(smoke: bool) -> None:
     if smoke or not _RESULTS:
         return
@@ -214,7 +289,11 @@ def _flush(smoke: bool) -> None:
         f"{SCHEME} deployment, decode_node_table_fast under REPRO_KERNEL="
         "native (C table decoder) vs decode_node_table (pure), best of 3; "
         "encode: encode_node_table over the same records, REPRO_KERNEL="
-        "native (C table encoder) vs numpy (pure encoder), best of 3"
+        "native (C table encoder) vs numpy (pure encoder), best of 3; "
+        "cluster_trees: SampledHierarchy(k=2).cluster_tree_routing for "
+        "every cluster of random_sparse(n, 4n, seed=97), lazy metric, "
+        "REPRO_KERNEL=native (C cluster-tree kernel) vs pure (Python "
+        "reference), best of 3"
     )
     merge_bench_results(RESULT_PATH, {"native": section})
 
@@ -256,6 +335,22 @@ def test_native_decode_speedup(report, bench_scale):
     )
     if not SMOKE:
         assert out["speedup"] >= 1.5, out
+
+
+def test_native_cluster_tree_speedup(report, bench_scale):
+    reason = _native_reason()
+    if reason:
+        pytest.skip(reason)
+    out = run_cluster_trees(bench_scale(2400, 300))
+    report.section(SECTION)
+    report.line(
+        f"tz2 cluster trees n={out['n']} ({out['trees']} trees, "
+        f"{out['members']} members): pure {out['pure_s']*1000:.0f} ms -> "
+        f"native {out['native_s']*1000:.0f} ms ({out['speedup']}x, "
+        f"identical, {out['cores']} cores)"
+    )
+    if not SMOKE:
+        assert out["speedup"] >= 3.0, out
     _flush(SMOKE)
 
 
@@ -284,10 +379,18 @@ def main() -> None:
         f"native {decode['encode_native_s']:.3f}s => "
         f"{decode['encode_speedup']}x (identical)"
     )
+    trees = run_cluster_trees(smoke_scale(2400, 300))
+    print(
+        f"cluster_trees[tz2] n={trees['n']} trees={trees['trees']} "
+        f"members={trees['members']}: pure {trees['pure_s']:.3f}s -> "
+        f"native {trees['native_s']:.3f}s => {trees['speedup']}x "
+        f"(identical, {trees['cores']} cores)"
+    )
     _flush(SMOKE)
     if not SMOKE:
         assert delta["speedup"] >= 2.0, delta
         assert decode["speedup"] >= 1.5, decode
+        assert trees["speedup"] >= 3.0, trees
 
 
 if __name__ == "__main__":

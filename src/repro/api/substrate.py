@@ -318,7 +318,7 @@ class Substrate:
         self,
         root: int,
         members: Optional[Iterable[int]],
-        build_tree: Callable[[], object],
+        build: Callable[[PortAssignment], TreeRouting],
     ) -> TreeRouting:
         """Heavy-path tree routing for one (cluster or landmark) tree.
 
@@ -339,7 +339,7 @@ class Substrate:
         if tree is None:
             ports = self._get_ports()
             t0 = time.perf_counter()
-            tree = TreeRouting(build_tree(), ports)
+            tree = build(ports)
             self._trees[key] = tree
             self._account("trees", False, time.perf_counter() - t0)
         else:

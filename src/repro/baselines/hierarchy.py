@@ -26,6 +26,8 @@ import numpy as np
 
 from ..graph.metric import MetricView
 from ..graph.trees import RootedTree
+from ..routing.ports import PortAssignment
+from ..routing.tree_routing import TreeRouting, native_cluster_tree
 from ..structures.sampling import sample_cluster_bounded
 
 __all__ = ["SampledHierarchy"]
@@ -181,12 +183,33 @@ class SampledHierarchy:
         distances, released once used; the tree itself is not cached here
         (schemes memoize it per ``(root, members)``), and a repeat call
         reads the root's full row instead.
+
+        This is the Python reference; schemes go through
+        :meth:`cluster_tree_routing`, which builds the same tree's
+        records and labels in one C call under ``REPRO_KERNEL=native``.
         """
         return RootedTree(
             self.metric.restricted_spt_parents(
                 w, self.cluster(w), self._member_dists.pop(w, None)
             )
         )
+
+    def cluster_tree_routing(
+        self, w: int, ports: PortAssignment
+    ) -> TreeRouting:
+        """Heavy-path routing over :meth:`cluster_tree` ``(w)``.
+
+        Same contract as :meth:`BunchStructure.cluster_tree_routing`:
+        one native call when the resolved kernel mode is ``native``,
+        otherwise ``TreeRouting(self.cluster_tree(w), ports)``.
+        """
+        tree = native_cluster_tree(
+            self.metric, w, self.cluster(w), self._member_dists.get(w), ports
+        )
+        if tree is None:
+            return TreeRouting(self.cluster_tree(w), ports)
+        self._member_dists.pop(w, None)
+        return tree
 
     def release_cluster_distances(self) -> None:
         """Drop the cluster sweep's distances not yet used by a tree.

@@ -26,6 +26,7 @@ current vertex.  Stretch ``4k-5``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional
 
 
@@ -78,7 +79,7 @@ class ThorupZwickScheme(SchemeBase):
         self._trees: Dict[int, TreeRouting] = {}
         for w, members in self.hierarchy.clusters():
             tree = self._tree_routing(
-                w, members, lambda w=w: self.hierarchy.cluster_tree(w)
+                w, members, partial(self.hierarchy.cluster_tree_routing, w)
             )
             self._trees[w] = tree
             for v in members:

@@ -570,8 +570,7 @@ class CSRGraph:
                     parent[v] = u
                     heapq.heappush(heap, (nd, v))
                 elif nd == dv and v not in settled and u < parent[v]:
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
+                    parent[v] = u  # (nd, v) is already queued
         return dist, parent
 
     # ------------------------------------------------------------------

@@ -105,6 +105,20 @@ __all__ = ["MetricView"]
 _INF = float("inf")
 
 
+def not_closed_error(
+    root: int, v: int, induced: float, global_: float
+) -> ValueError:
+    """The closure-check failure of :meth:`MetricView.restricted_spt_parents`.
+
+    Shared with the native cluster-tree kernel, which reports the first
+    failing member and lets Python raise the identical error.
+    """
+    return ValueError(
+        f"member set not shortest-path closed toward {root}: "
+        f"induced distance of {v} is {induced}, global is {global_}"
+    )
+
+
 class MetricView:
     """Immutable exact-distance oracle over a graph.
 
@@ -727,11 +741,7 @@ class MetricView:
                 continue
             dv = dist.get(v, _INF)
             if not math.isfinite(dv) or abs(dv - float(gv)) > tol:
-                raise ValueError(
-                    f"member set not shortest-path closed toward {root}: "
-                    f"induced distance of {v} is {dv}, global is "
-                    f"{float(gv)}"
-                )
+                raise not_closed_error(root, v, dv, float(gv))
             out[v] = parent[v]
         return out
 

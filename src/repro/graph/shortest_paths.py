@@ -491,8 +491,7 @@ def subgraph_dijkstra_py(
                 parent[v] = u
                 heapq.heappush(heap, (nd, v))
             elif nd == dv and v not in settled and u < parent[v]:
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
+                parent[v] = u  # (nd, v) is already queued
     return dist, parent
 
 

@@ -6,7 +6,7 @@ is :mod:`repro.graph.parallel`): a small hand-rolled C source file
 ``cc``/``gcc``/``clang``, no new Python dependencies — into a
 content-hash-named shared library under a cache directory, and loaded
 via ``ctypes`` with zero-copy pointers into the existing CSR numpy
-arrays.  Three kernels ride in it:
+arrays.  Four kernels ride in it:
 
 * the delta-stepping relax/scatter-min inner loop over the flattened
   ``(source, vertex)`` space (:meth:`repro.graph.csr.CSRGraph._delta_batch`
@@ -29,7 +29,17 @@ arrays.  Three kernels ride in it:
   codec's — exact builtin types, ints within int64, nesting up to 200
   levels, well-formed UTF-8, hashable keys, no trailing bytes — and
   anything else returns ``None`` (decode boxes a hit as ``(value,)``)
-  so the pure codec produces the canonical bytes or error.
+  so the pure codec produces the canonical bytes or error, and
+* the cluster-tree builder on the same ``PyDLL`` handle:
+  ``repro_cluster_tree`` runs one cluster's induced-subgraph Dijkstra,
+  its closure check, the subtree sizes, heavy children and heavy-first
+  DFS, and returns the parent map and the Lemma 3 ``TreeRecord`` /
+  ``TreeLabel`` dicts (behind
+  :func:`repro.routing.tree_routing.native_cluster_tree`, which
+  ``BunchStructure`` and ``SampledHierarchy.cluster_tree_routing``
+  call for every scheme's cluster trees).  Parents, records, labels
+  and dict order equal the Python reference's; members outside its
+  domain return ``None`` and the reference runs.
 
 Because the codec links against the CPython API, the build needs the
 interpreter's headers (``Python.h`` under ``sysconfig``'s include dir)
@@ -285,6 +295,10 @@ class NativeKernels:
         codec.repro_decode_value.argtypes = [obj]
         codec.repro_encode_value.restype = obj
         codec.repro_encode_value.argtypes = [obj]
+        codec.repro_cluster_tree.restype = obj
+        codec.repro_cluster_tree.argtypes = [
+            obj, obj, obj, c_i64, ctypes.c_double,
+        ]
         self._codec: Optional[ctypes.PyDLL] = codec
 
     def close(self) -> None:
@@ -403,6 +417,33 @@ class NativeKernels:
         if codec is None:
             raise NativeExecutionError("kernel library handle is closed")
         result: Optional[bytes] = codec.repro_encode_value(value)
+        return result
+
+    # -- kernel 4: cluster trees (induced SPT + heavy-path routing) ----
+    def cluster_tree(
+        self,
+        graph: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        members: Any,
+        member_dists: np.ndarray,
+        root: int,
+        tol: float,
+    ) -> Optional[Tuple[Any, ...]]:
+        """One cluster tree's ``(parents, records, labels)`` dicts.
+
+        ``graph`` is the contiguous ``(indptr, indices, weights, ports)``
+        CSR quadruple (int64, int64, float64, int32; ``ports[e]`` is the
+        port at ``u`` of edge ``e``), ``members`` the sorted member ids
+        (a list of ints) and ``member_dists`` their float64 global
+        distances from ``root``.  A closure failure returns ``(v,
+        induced, global)`` instead; ``None`` means input outside the
+        fast domain: run the reference.
+        """
+        codec = self._codec
+        if codec is None:
+            raise NativeExecutionError("kernel library handle is closed")
+        result: Optional[Tuple[Any, ...]] = codec.repro_cluster_tree(
+            graph, members, member_dists, int(root), float(tol)
+        )
         return result
 
 

@@ -31,6 +31,13 @@
  *     domain, same None-means-fall-back contract; decode boxes its
  *     result as (value,) so a decoded None is not mistaken for it.
  *
+ *  4. repro_cluster_tree — one cluster tree T_C(w) in one call: the
+ *     induced-subgraph Dijkstra and closure check of
+ *     MetricView.restricted_spt_parents, then the RootedTree sizes and
+ *     heavy children and the TreeRouting heavy-first intervals,
+ *     records and labels (Lemma 3), returned as the reference's three
+ *     dicts.  CPython API, PyDLL, stateless like the codecs.
+ *
  * C99 + the CPython headers: compiled on demand by repro.native with
  * the system compiler into a content-hash- and ABI-named shared
  * library.
@@ -1008,4 +1015,456 @@ PyObject *repro_encode_value(PyObject *value)
 {
     wr_ctx w = {NULL, 0, 0};
     return wr_result(&w, wr_value(&w, value, 0));
+}
+
+/* ------------------------------------------------------------------ */
+/* kernel 4: cluster trees (induced SPT + heavy-path tree routing)     */
+/* ------------------------------------------------------------------ */
+
+/* One heap entry of the induced Dijkstra.  `v` is a local member
+ * index; members are strictly increasing, so (d, v) orders exactly
+ * like the reference's (d, vertex id) tuples. */
+typedef struct {
+    double d;
+    int32_t v;
+} heap_dv;
+
+typedef struct {
+    heap_dv *a;
+    int64_t len;
+    int64_t cap;
+} dv_heap;
+
+static inline int dv_less(heap_dv x, heap_dv y)
+{
+    return x.d < y.d || (x.d == y.d && x.v < y.v);
+}
+
+static int dv_push(dv_heap *h, double d, int32_t v)
+{
+    if (h->len == h->cap) {
+        int64_t cap = h->cap ? 2 * h->cap : 64;
+        heap_dv *grown =
+            (heap_dv *)realloc(h->a, (size_t)cap * sizeof(heap_dv));
+        if (grown == NULL)
+            return -1;
+        h->a = grown;
+        h->cap = cap;
+    }
+    heap_dv x = {d, v};
+    int64_t i = h->len++;
+    while (i > 0) {
+        int64_t p = (i - 1) >> 1;
+        if (!dv_less(x, h->a[p]))
+            break;
+        h->a[i] = h->a[p];
+        i = p;
+    }
+    h->a[i] = x;
+    return 0;
+}
+
+static heap_dv dv_pop(dv_heap *h)
+{
+    heap_dv top = h->a[0];
+    heap_dv x = h->a[--h->len];
+    int64_t i = 0, n = h->len;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && dv_less(h->a[c + 1], h->a[c]))
+            c++;
+        if (!dv_less(h->a[c], x))
+            break;
+        h->a[i] = h->a[c];
+        i = c;
+    }
+    if (n > 0)
+        h->a[i] = x;
+    return top;
+}
+
+/* Open-addressing index of the members: vertex id -> local index,
+ * about one probe per lookup (the Dijkstra asks once per scanned
+ * edge, so a binary search over the members dominated the kernel). */
+typedef struct {
+    int64_t key; /* -1 = empty slot */
+    int32_t val;
+} mm_slot;
+
+typedef struct {
+    mm_slot *slot;
+    uint64_t mask;
+    int shift;
+} member_map;
+
+static inline uint64_t mm_hash(const member_map *m, int64_t v)
+{
+    return ((uint64_t)v * 0x9E3779B97F4A7C15ULL) >> m->shift;
+}
+
+static int mm_init(member_map *m, const int64_t *mem, int32_t nm)
+{
+    int bits = 1;
+    while ((INT64_C(1) << bits) < 2 * (int64_t)nm)
+        bits++;
+    size_t cap = (size_t)1 << bits;
+    m->slot = (mm_slot *)malloc(cap * sizeof(mm_slot));
+    if (m->slot == NULL)
+        return -1;
+    for (size_t i = 0; i < cap; i++)
+        m->slot[i].key = -1;
+    m->mask = cap - 1;
+    m->shift = 64 - bits;
+    for (int32_t i = 0; i < nm; i++) {
+        uint64_t h = mm_hash(m, mem[i]);
+        while (m->slot[h].key >= 0)
+            h = (h + 1) & m->mask;
+        m->slot[h].key = mem[i];
+        m->slot[h].val = i;
+    }
+    return 0;
+}
+
+static inline int32_t mm_find(const member_map *m, int64_t v)
+{
+    for (uint64_t h = mm_hash(m, v);; h = (h + 1) & m->mask) {
+        if (m->slot[h].key == v)
+            return m->slot[h].val;
+        if (m->slot[h].key < 0)
+            return -1;
+    }
+}
+
+/* Build the heavy-path tree routing of one cluster tree in one pass —
+ * MetricView.restricted_spt_parents + RootedTree + TreeRouting of
+ * repro/routing/tree_routing.py, with identical results:
+ *
+ *   1. Dijkstra on the subgraph induced by the members, popping in
+ *      (d, vertex) order; an equal-distance relaxation from a smaller
+ *      predecessor of a not-yet-settled vertex takes over its parent
+ *      (no re-push: its (d, v) entry is already queued);
+ *   2. the closure check: every member's induced distance is finite
+ *      and within `tol` of the global one in `gdist` (member order;
+ *      the first failure is reported);
+ *   3. children in ascending id order, subtree sizes, each vertex's
+ *      heavy child (largest subtree, ties to the smallest id);
+ *   4. the heavy-first DFS intervals: a child's dfs_in is its parent's
+ *      plus one plus the sizes of the siblings visited before it, and
+ *      dfs_out = dfs_in + size;
+ *   5. records (dfs_in, dfs_out, parent_port, heavy_port, heavy_in,
+ *      heavy_out) and labels (dfs_in, light stops), light stops shared
+ *      down heavy edges like the reference's tuples.
+ *
+ * `ports[e]` is the port at u of CSR edge e = (u, indices[e]).  Both
+ * ports of a tree edge come out of the Dijkstra: the port at the
+ * parent from the relaxing edge, the port at the child from its own
+ * adjacency scan once settled (its parent is final then).
+ *
+ * Vertices are local indices into the strictly increasing `mem` (so
+ * local order is id order), `r` the root's; `ids` are the members' own
+ * int objects, reused as dict keys.  The result is as documented at
+ * repro_cluster_tree, minus its None. */
+static PyObject *cluster_tree(const int64_t *indptr, const int64_t *indices,
+                              const double *weights, const int32_t *ports,
+                              int32_t r, const int64_t *mem, PyObject **ids,
+                              int32_t nm, const double *gdist, double tol)
+{
+    PyObject *result = NULL, *parents = NULL, *records = NULL;
+    PyObject *labels = NULL, *zero = NULL, **objs = NULL;
+    member_map map = {NULL, 0, 0};
+    dv_heap heap = {NULL, 0, 0};
+    double *dist = (double *)malloc((size_t)nm * sizeof(double));
+    int32_t *scratch =
+        (int32_t *)malloc(((size_t)nm * 9 + 1) * sizeof(int32_t));
+    uint8_t *done = (uint8_t *)calloc((size_t)nm, 1);
+    if (dist == NULL || scratch == NULL || done == NULL
+        || mm_init(&map, mem, nm) != 0) {
+        PyErr_NoMemory();
+        goto out;
+    }
+    int32_t *par = scratch;          /* local parent */
+    int32_t *down = par + nm;        /* port at the parent toward v */
+    int32_t *up = down + nm;         /* port at v toward its parent */
+    int32_t *kptr = up + nm;         /* children CSR offsets (nm + 1) */
+    int32_t *kids = kptr + nm + 1;   /* children, ascending per parent */
+    int32_t *order = kids + nm;      /* root-first BFS order */
+    int32_t *size = order + nm;      /* subtree sizes */
+    int32_t *heavy = size + nm;      /* heavy child or -1 */
+    int32_t *din = heavy + nm;       /* dfs_in (dfs_out = din + size) */
+
+    /* 1. induced Dijkstra */
+    for (int32_t i = 0; i < nm; i++) {
+        dist[i] = DS_INF;
+        par[i] = -1;
+        up[i] = -1;
+    }
+    dist[r] = 0.0;
+    par[r] = r;
+    if (dv_push(&heap, 0.0, r) != 0) {
+        PyErr_NoMemory();
+        goto out;
+    }
+    while (heap.len > 0) {
+        heap_dv top = dv_pop(&heap);
+        int32_t u = top.v;
+        double d = top.d;
+        if (done[u] || d > dist[u])
+            continue;
+        done[u] = 1;
+        int32_t pu = u == r ? -1 : par[u];
+        for (int64_t e = indptr[mem[u]]; e < indptr[mem[u] + 1]; e++) {
+            int32_t v = mm_find(&map, indices[e]);
+            if (v < 0)
+                continue;
+            if (v == pu)
+                up[u] = ports[e];
+            double nd = d + weights[e];
+            if (nd < dist[v]) {
+                dist[v] = nd;
+                par[v] = u;
+                down[v] = ports[e];
+                if (dv_push(&heap, nd, v) != 0) {
+                    PyErr_NoMemory();
+                    goto out;
+                }
+            } else if (nd == dist[v] && !done[v] && u < par[v]) {
+                par[v] = u;
+                down[v] = ports[e];
+            }
+        }
+    }
+
+    /* 2. closure check */
+    for (int32_t i = 0; i < nm; i++) {
+        if (i == r)
+            continue;
+        double dv = dist[i];
+        if (!isfinite(dv) || fabs(dv - gdist[i]) > tol) {
+            result = Py_BuildValue("(Ldd)", (long long)mem[i], dv, gdist[i]);
+            goto out;
+        }
+    }
+
+    /* 3. children, BFS order, sizes, heavy children */
+    memset(kptr, 0, (size_t)(nm + 1) * sizeof(int32_t));
+    for (int32_t i = 0; i < nm; i++)
+        if (i != r)
+            kptr[par[i] + 1]++;
+    for (int32_t i = 0; i < nm; i++)
+        kptr[i + 1] += kptr[i];
+    memcpy(heavy, kptr, (size_t)nm * sizeof(int32_t)); /* fill cursors */
+    for (int32_t i = 0; i < nm; i++)
+        if (i != r)
+            kids[heavy[par[i]]++] = i;
+    int32_t tail = 1;
+    order[0] = r;
+    for (int32_t h = 0; h < tail; h++)
+        for (int32_t k = kptr[order[h]]; k < kptr[order[h] + 1]; k++)
+            order[tail++] = kids[k];
+    for (int32_t i = 0; i < nm; i++)
+        size[i] = 1;
+    for (int32_t h = nm - 1; h > 0; h--)
+        size[par[order[h]]] += size[order[h]];
+    for (int32_t i = 0; i < nm; i++) {
+        int32_t best = -1;
+        for (int32_t k = kptr[i]; k < kptr[i + 1]; k++)
+            if (best < 0 || size[kids[k]] > size[best])
+                best = kids[k];
+        heavy[i] = best;
+    }
+
+    /* 4. heavy-first DFS intervals */
+    din[r] = 0;
+    for (int32_t h = 0; h < nm; h++) {
+        int32_t v = order[h];
+        int32_t cursor = din[v] + 1;
+        if (heavy[v] >= 0) {
+            din[heavy[v]] = cursor;
+            cursor += size[heavy[v]];
+        }
+        for (int32_t k = kptr[v]; k < kptr[v + 1]; k++) {
+            if (kids[k] != heavy[v]) {
+                din[kids[k]] = cursor;
+                cursor += size[kids[k]];
+            }
+        }
+    }
+
+    /* 5. the three dicts.  Each vertex's dfs_in and dfs_out int
+     * objects are made once and shared by every tuple holding them.
+     * The tuples hold only ints (or tuples of ints), so they can never
+     * be part of a reference cycle: they leave the cyclic collector's
+     * lists at birth — what the collector would do itself on its next
+     * pass, without the passes over ~5 tuples per vertex — and the
+     * dicts holding them stay untracked too. */
+    objs = (PyObject **)calloc((size_t)nm * 3, sizeof(PyObject *));
+    if (objs == NULL) {
+        PyErr_NoMemory();
+        goto out;
+    }
+    PyObject **pin = objs, **pout = pin + nm, **stops = pout + nm;
+    for (int32_t i = 0; i < nm; i++)
+        if ((pin[i] = PyLong_FromLong(din[i])) == NULL
+            || (pout[i] = PyLong_FromLong(din[i] + size[i])) == NULL)
+            goto out;
+    if ((zero = PyLong_FromLong(0)) == NULL
+        || (stops[r] = PyTuple_New(0)) == NULL)
+        goto out;
+    for (int32_t h = 1; h < nm; h++) {
+        int32_t v = order[h], p = par[v];
+        if (heavy[p] == v) {
+            Py_INCREF(stops[p]);
+            stops[v] = stops[p];
+            continue;
+        }
+        Py_ssize_t len = PyTuple_GET_SIZE(stops[p]);
+        PyObject *port = PyLong_FromLong(down[v]);
+        PyObject *pair = port == NULL ? NULL : PyTuple_Pack(2, pin[v], port);
+        Py_XDECREF(port);
+        if (pair == NULL || (stops[v] = PyTuple_New(len + 1)) == NULL) {
+            Py_XDECREF(pair);
+            goto out;
+        }
+        for (Py_ssize_t j = 0; j < len; j++) {
+            PyObject *x = PyTuple_GET_ITEM(stops[p], j);
+            Py_INCREF(x);
+            PyTuple_SET_ITEM(stops[v], j, x);
+        }
+        PyTuple_SET_ITEM(stops[v], len, pair);
+        PyObject_GC_UnTrack(pair);
+        PyObject_GC_UnTrack(stops[v]);
+    }
+    parents = PyDict_New();
+    records = PyDict_New();
+    labels = PyDict_New();
+    if (parents == NULL || records == NULL || labels == NULL)
+        goto out;
+    for (int32_t j = -1; j < nm; j++) {
+        int32_t v = j < 0 ? r : j; /* root first, then ascending */
+        if (j == r)
+            continue;
+        int32_t hv = heavy[v];
+        PyObject *pport = PyLong_FromLong(v == r ? -1 : up[v]);
+        PyObject *hport = PyLong_FromLong(hv >= 0 ? down[hv] : -1);
+        PyObject *record = NULL, *label = NULL;
+        if (pport != NULL && hport != NULL)
+            record = PyTuple_Pack(6, pin[v], pout[v], pport, hport,
+                                  hv >= 0 ? pin[hv] : zero,
+                                  hv >= 0 ? pout[hv] : zero);
+        Py_XDECREF(pport);
+        Py_XDECREF(hport);
+        if (record != NULL) {
+            PyObject_GC_UnTrack(record);
+            if ((label = PyTuple_Pack(2, pin[v], stops[v])) != NULL)
+                PyObject_GC_UnTrack(label);
+        }
+        int rc = (label == NULL
+                  || PyDict_SetItem(parents, ids[v], ids[par[v]]) != 0
+                  || PyDict_SetItem(records, ids[v], record) != 0
+                  || PyDict_SetItem(labels, ids[v], label) != 0);
+        Py_XDECREF(record);
+        Py_XDECREF(label);
+        if (rc)
+            goto out;
+    }
+    result = PyTuple_Pack(3, parents, records, labels);
+
+out:
+    Py_XDECREF(parents);
+    Py_XDECREF(records);
+    Py_XDECREF(labels);
+    Py_XDECREF(zero);
+    if (objs != NULL)
+        for (int32_t i = 0; i < 3 * nm; i++)
+            Py_XDECREF(objs[i]);
+    free(objs);
+    free(map.slot);
+    free(heap.a);
+    free(dist);
+    free(scratch);
+    free(done);
+    return result;
+}
+
+/* The entry point of kernel 4.
+ *
+ * `graph` is the tuple (indptr, indices, weights, ports) of contiguous
+ * CSR arrays — int64, int64, float64 and int32, where ports[e] is the
+ * port at u of edge e = (u, indices[e]); `members` a sequence of ints,
+ * `member_dists` a contiguous float64 array of their global distances
+ * from `root`.
+ *
+ * Returns (parents, records, labels) — three dicts keyed root first,
+ * then the other members ascending, the reference's insertion order —
+ * or (v, induced, global) for the first member failing the closure
+ * check (the caller raises the reference's ValueError), or None for
+ * input outside the fast domain: members not strictly increasing ints
+ * in [0, n), the root not among them, a distance count or an array
+ * item size that does not match (the caller runs the reference, which
+ * gives the canonical result or error).  NULL with MemoryError set on
+ * allocation failure. */
+PyObject *repro_cluster_tree(PyObject *graph, PyObject *members,
+                             PyObject *member_dists, long long root,
+                             double tol)
+{
+    static const Py_ssize_t itemsize[5] = {8, 8, 8, 4, 8};
+    Py_buffer view[5];
+    int held = 0;
+    PyObject *seq = NULL, *result = NULL;
+    int64_t *mem = NULL;
+    if (!PyTuple_Check(graph) || PyTuple_GET_SIZE(graph) != 4)
+        goto fallback;
+    for (; held < 5; held++) {
+        PyObject *arr = held < 4 ? PyTuple_GET_ITEM(graph, held)
+                                 : member_dists;
+        if (PyObject_GetBuffer(arr, &view[held],
+                               PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) != 0)
+            goto fallback;
+        if (view[held].itemsize != itemsize[held]) {
+            held++;
+            goto fallback;
+        }
+    }
+    int64_t n = view[0].len / 8 - 1;
+    seq = PySequence_Fast(members, "members");
+    if (seq == NULL)
+        goto fallback;
+    Py_ssize_t nm = PySequence_Fast_GET_SIZE(seq);
+    if (nm <= 0 || nm > INT32_MAX / 2 || nm != view[4].len / 8)
+        goto fallback;
+    PyObject **ids = PySequence_Fast_ITEMS(seq);
+    mem = (int64_t *)malloc((size_t)nm * sizeof(int64_t));
+    if (mem == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int32_t r = -1;
+    for (Py_ssize_t i = 0; i < nm; i++) {
+        if (!PyLong_CheckExact(ids[i]))
+            goto fallback;
+        mem[i] = PyLong_AsLongLong(ids[i]);
+        if (mem[i] < 0 || mem[i] >= n || (i > 0 && mem[i - 1] >= mem[i]))
+            goto fallback; /* also an overflow's -1 */
+        if (mem[i] == root)
+            r = (int32_t)i;
+    }
+    if (r < 0)
+        goto fallback;
+    result = cluster_tree(
+        (const int64_t *)view[0].buf, (const int64_t *)view[1].buf,
+        (const double *)view[2].buf, (const int32_t *)view[3].buf, r, mem,
+        ids, (int32_t)nm, (const double *)view[4].buf, tol);
+    goto done;
+fallback:
+    PyErr_Clear();
+    Py_INCREF(Py_None);
+    result = Py_None;
+done:
+    while (held > 0)
+        PyBuffer_Release(&view[--held]);
+    Py_XDECREF(seq);
+    free(mem);
+    return result;
 }

@@ -19,7 +19,7 @@ provides exactly that operation and nothing more.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..graph.core import Graph
 
@@ -66,6 +66,7 @@ class PortAssignment:
         self._port_of: List[Dict[int, int]] = [
             {v: p for p, v in enumerate(ports)} for ports in self._ports
         ]
+        self._csr_ports: Optional[Tuple[Any, Any]] = None
 
     def to_order(self) -> List[List[int]]:
         """Neighbour ids of every vertex in port order (lossless export)."""
@@ -86,6 +87,31 @@ class PortAssignment:
         if not 0 <= port < len(ports):
             raise ValueError(f"vertex {u} has no port {port}")
         return ports[port]
+
+    def csr_ports(self, indptr: Any, indices: Any) -> Any:
+        """Ports aligned with a CSR adjacency of the graph (int32 array).
+
+        Entry ``e`` in row ``u`` is ``port_to(u, indices[e])``, the
+        layout the native cluster-tree kernel reads.  Built once and
+        cached against the ``indices`` array it was built for.
+        """
+        cached = self._csr_ports
+        if cached is not None and cached[0] is indices:
+            return cached[1]
+        import numpy as np
+
+        ptr = indptr.tolist()
+        ids = indices.tolist()
+        out = np.array(
+            [
+                port_of[v]
+                for u, port_of in enumerate(self._port_of)
+                for v in ids[ptr[u] : ptr[u + 1]]
+            ],
+            dtype=np.int32,
+        )
+        self._csr_ports = (indices, out)
+        return out
 
     def port_to(self, u: int, v: int) -> int:
         """The port of ``u`` leading to its neighbour ``v``.

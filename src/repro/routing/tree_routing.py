@@ -27,12 +27,21 @@ Every routing table in this repository stores tree information as the plain
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.trees import RootedTree
 from .ports import PortAssignment
 
-__all__ = ["TreeRecord", "TreeLabel", "TreeRouting", "tree_step"]
+if TYPE_CHECKING:
+    from ..graph.metric import MetricView
+
+__all__ = [
+    "TreeRecord",
+    "TreeLabel",
+    "TreeRouting",
+    "native_cluster_tree",
+    "tree_step",
+]
 
 # (dfs_in, dfs_out, parent_port, heavy_port, heavy_in, heavy_out)
 # parent_port = -1 at the root; heavy_port = -1 at leaves.
@@ -80,7 +89,7 @@ class TreeRouting:
     """
 
     def __init__(self, tree: RootedTree, ports: PortAssignment) -> None:
-        self.tree = tree
+        self._tree: Optional[RootedTree] = tree
         self.root = tree.root
         self._records: Dict[int, TreeRecord] = {}
         self._labels: Dict[int, TreeLabel] = {}
@@ -148,6 +157,32 @@ class TreeRouting:
         for v in tree.parent:
             self._labels[v] = (dfs_in[v], light_stops[v])
 
+    @classmethod
+    def from_parts(
+        cls,
+        root: int,
+        parent: Dict[int, int],
+        records: Dict[int, TreeRecord],
+        labels: Dict[int, TreeLabel],
+    ) -> "TreeRouting":
+        """A routing structure from precomputed parent map, records and
+        labels (the native cluster-tree kernel's output); the
+        :class:`RootedTree` is built only if :attr:`tree` is read."""
+        self = cls.__new__(cls)
+        self._tree = None
+        self._parent = parent
+        self.root = root
+        self._records = records
+        self._labels = labels
+        return self
+
+    @property
+    def tree(self) -> RootedTree:
+        """The rooted tree routed over (built on first use)."""
+        if self._tree is None:
+            self._tree = RootedTree(self._parent)
+        return self._tree
+
     # ------------------------------------------------------------------
     def record_of(self, v: int) -> TreeRecord:
         """Routing record stored at tree vertex ``v`` (6 words)."""
@@ -165,3 +200,58 @@ class TreeRouting:
     def step(record: TreeRecord, label: TreeLabel) -> Optional[int]:
         """Forwarding decision (see :func:`tree_step`)."""
         return tree_step(record, label)
+
+
+def native_cluster_tree(
+    metric: "MetricView",
+    root: int,
+    members: Sequence[int],
+    member_dists: Optional[Sequence[float]],
+    ports: PortAssignment,
+) -> Optional[TreeRouting]:
+    """``TreeRouting(RootedTree(metric.restricted_spt_parents(root,
+    members, member_dists)), ports)`` built in one native call.
+
+    ``None`` unless the resolved kernel mode is ``native``, and for
+    inputs outside the kernel's domain (members not strictly
+    increasing, a missing root, a distance count that does not match):
+    the caller then runs the reference, which returns the canonical
+    tree or raises the canonical error.  A closure failure raises the
+    reference's exact ``ValueError``.  Parents, records, labels and the
+    insertion order of all three dicts equal the reference's.
+    """
+    from ..graph.csr import _native_kernels
+
+    kernels = _native_kernels()
+    if kernels is None:
+        return None
+    import numpy as np
+
+    from ..graph.csr import csr_graph
+    from ..graph.metric import not_closed_error
+
+    if member_dists is None:
+        if root not in members:
+            return None
+        member_dists = metric.row(root)[list(members)]
+    elif len(member_dists) != len(members):
+        return None
+    csr = csr_graph(metric.graph)
+    graph = (
+        csr.indptr,
+        csr.indices,
+        csr.weights,
+        ports.csr_ports(csr.indptr, csr.indices),
+    )
+    found = kernels.cluster_tree(
+        graph,
+        members,
+        np.ascontiguousarray(member_dists, dtype=np.float64),
+        root,
+        metric.tol,
+    )
+    if found is None:
+        return None
+    if not isinstance(found[0], dict):  # (v, induced, global)
+        raise not_closed_error(root, *found)
+    return TreeRouting.from_parts(root, *found)

@@ -185,7 +185,9 @@ class SchemeBase(CompactRoutingScheme):
         from ..core.technique1 import _global_tree
 
         return self._tree_routing(
-            root, None, lambda: _global_tree(self.metric, root)
+            root,
+            None,
+            lambda ports: TreeRouting(_global_tree(self.metric, root), ports),
         )
 
     def _prefetch_global_trees(self, roots: Sequence[int]) -> None:
@@ -236,9 +238,9 @@ class SchemeBase(CompactRoutingScheme):
         self,
         root: int,
         members: Optional[Iterable[int]],
-        build_tree: Callable[[], Any],
+        build: Callable[[PortAssignment], TreeRouting],
     ) -> TreeRouting:
-        """A :class:`TreeRouting` for the tree ``build_tree`` produces.
+        """The :class:`TreeRouting` ``build(ports)`` produces.
 
         Memoized on the substrate by ``(root, member set)`` —
         ``members=None`` means the full-graph SPT rooted at ``root``.
@@ -249,8 +251,8 @@ class SchemeBase(CompactRoutingScheme):
         intervals once.  Cold builds without a substrate are unchanged.
         """
         if self._substrate_applies():
-            return self._substrate.tree_routing(root, members, build_tree)
-        return TreeRouting(build_tree(), self.ports)
+            return self._substrate.tree_routing(root, members, build)
+        return build(self.ports)
 
     # ------------------------------------------------------------------
     def table_of(self, v: int) -> SizedTable:

@@ -30,6 +30,7 @@ and the landmark.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.technique2 import Technique2
@@ -122,8 +123,7 @@ class _GeneralizedScheme(SchemeBase):
                 if not members:
                     continue
                 tree = self._tree_routing(
-                    w, members,
-                    lambda b=self.bunches[i], w=w: b.cluster_tree(w),
+                    w, members, partial(self.bunches[i].cluster_tree_routing, w)
                 )
                 level_trees[w] = tree
                 for v in members:

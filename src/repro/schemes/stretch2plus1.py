@@ -34,6 +34,7 @@ The label of ``v`` is ``(v, c(v), p_A(v), d(v, p_A(v)), tree-label)``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional
 
 from ..core.technique1 import Technique1
@@ -95,7 +96,7 @@ class Stretch2Plus1Scheme(SchemeBase):
             if not members:
                 continue
             tree = self._tree_routing(
-                w, members, lambda w=w: self.bunches.cluster_tree(w)
+                w, members, partial(self.bunches.cluster_tree_routing, w)
             )
             for v in members:
                 self._tables[v].put("ctree", w, tree.record_of(v))

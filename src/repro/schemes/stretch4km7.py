@@ -27,6 +27,7 @@ color representative → Lemma 8 to ``p_{k-2}(v)`` → tree
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from ..core.technique2 import Technique2
@@ -82,7 +83,7 @@ class Stretch4kMinus7Scheme(SchemeBase):
             if not members:
                 continue
             tree = self._tree_routing(
-                w, members, lambda w=w: self.hierarchy.cluster_tree(w)
+                w, members, partial(self.hierarchy.cluster_tree_routing, w)
             )
             self._trees[w] = tree
             for v in members:

@@ -36,6 +36,7 @@ the paper's ``O(log n)``-bit labels.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, List, Optional
 
 from ..core.technique2 import Technique2
@@ -92,7 +93,7 @@ class Stretch5PlusScheme(SchemeBase):
             if not members:
                 continue
             tree = self._tree_routing(
-                w, members, lambda w=w: self.bunches.cluster_tree(w)
+                w, members, partial(self.bunches.cluster_tree_routing, w)
             )
             for v in members:
                 self._tables[v].put("ctree", w, tree.record_of(v))

@@ -20,6 +20,8 @@ import numpy as np
 
 from ..graph.metric import MetricView
 from ..graph.trees import RootedTree
+from ..routing.ports import PortAssignment
+from ..routing.tree_routing import TreeRouting, native_cluster_tree
 
 __all__ = ["BunchStructure"]
 
@@ -105,6 +107,11 @@ class BunchStructure:
         ``d(x, A) >= d(v, A) - d(v, x) > d(v, w) - d(v, x) = d(x, w)``,
         so ``x ∈ C_A(w)`` and the tree is well defined.  The closure
         check reads the cluster sweep's distances, released once used.
+
+        This is the Python reference.  Schemes ask for the tree's
+        routing structure through :meth:`cluster_tree_routing`, which
+        under ``REPRO_KERNEL=native`` builds the same tree, records and
+        labels in one C call without materializing this ``RootedTree``.
         """
         if w not in self._trees:
             members = self.cluster(w)
@@ -115,6 +122,28 @@ class BunchStructure:
             )
             self._trees[w] = RootedTree(parent)
         return self._trees[w]
+
+    def cluster_tree_routing(
+        self, w: int, ports: PortAssignment
+    ) -> TreeRouting:
+        """Heavy-path routing over :meth:`cluster_tree` ``(w)``.
+
+        Built in one native call (induced Dijkstra, closure check,
+        sizes, heavy-first intervals, records and labels) when the
+        resolved kernel mode is ``native``, otherwise
+        ``TreeRouting(self.cluster_tree(w), ports)``; both give the same
+        records, labels and dict order.  The sweep distances are used
+        and released exactly as by :meth:`cluster_tree`.
+        """
+        if w not in self._trees:
+            tree = native_cluster_tree(
+                self.metric, w, self.cluster(w),
+                self._member_dists.get(w), ports,
+            )
+            if tree is not None:
+                self._member_dists.pop(w, None)
+                return tree
+        return TreeRouting(self.cluster_tree(w), ports)
 
     def release_cluster_distances(self) -> None:
         """Drop the cluster sweep's distances not yet used by a tree.

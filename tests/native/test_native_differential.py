@@ -27,16 +27,20 @@ import pytest
 from repro import native
 from repro.api import all_specs
 from repro.graph import shortest_paths as sp
+from repro.graph.core import Graph
 from repro.graph.csr import csr_graph
 from repro.graph.generators import (
     erdos_renyi,
     grid,
+    path,
+    preferential_attachment,
     random_geometric,
     ring_with_chords,
     with_random_weights,
 )
 from repro.graph.metric import MetricView
 from repro.graph.shortest_paths import all_balls, kernel_mode
+from repro.routing.ports import PortAssignment
 from repro.routing.shard_codec import (
     decode_node_table,
     decode_node_table_fast,
@@ -45,6 +49,7 @@ from repro.routing.shard_codec import (
     encode_value,
 )
 from repro.routing.tables import NodeTable
+from repro.routing.tree_routing import native_cluster_tree
 
 
 def _set_mode(monkeypatch, mode: str) -> None:
@@ -797,3 +802,188 @@ def test_native_composes_with_parallel(monkeypatch):
     ser = balls()
     for a, b in zip(par, ser):
         assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# cluster trees: induced SPT + heavy-path records/labels in one C call
+# ----------------------------------------------------------------------
+def _integer_weighted(n, p, seed):
+    """Weights from {1, 2, 3}: many exact equal-length paths, so the
+    smallest-predecessor parent rule and the (d, v) heap order decide
+    most trees."""
+    rng = random.Random(seed)
+    out = Graph(n)
+    for u, v, _ in erdos_renyi(n, p, seed=seed).edges():
+        out.add_edge(u, v, float(rng.randint(1, 3)))
+    return out
+
+
+_TREE_GRAPHS = {
+    "er-unweighted": lambda: erdos_renyi(130, 0.05, seed=81),
+    "grid-unweighted": lambda: grid(10, 12),
+    "er-int-weighted": lambda: _integer_weighted(130, 0.05, seed=82),
+    "er-weighted": lambda: with_random_weights(
+        erdos_renyi(130, 0.05, seed=83), seed=84
+    ),
+    "grid-weighted": lambda: with_random_weights(grid(10, 12), seed=85),
+    "ba-weighted": lambda: with_random_weights(
+        preferential_attachment(130, 2, seed=86), seed=87
+    ),
+}
+
+#: the schemes whose cluster trees the kernel builds: Thorup-Zwick
+#: (SampledHierarchy), thm16 (SampledHierarchy), thm11 (BunchStructure)
+_TREE_SCHEMES = ("tz2", "tz3", "thm11", "thm16")
+
+
+def _cluster_trees(monkeypatch, mode, name, g, ports_seed, metric_mode):
+    """Every cluster tree ``name`` builds under kernel ``mode``, as
+    ``(key, parents, records, labels)`` with each dict's own order."""
+    from repro.api import Substrate, build
+
+    _set_mode(monkeypatch, mode)
+    substrate = Substrate(
+        g,
+        metric=MetricView(g, mode=metric_mode),
+        ports=PortAssignment(g, seed=ports_seed),
+    )
+    build(name, g, substrate=substrate)
+    out = []
+    for key, tree in substrate._trees.items():
+        if key[1] is None:  # full-graph landmark trees: not cluster trees
+            continue
+        # native trees come from the kernel (their RootedTree is never
+        # built); the others ran the reference
+        assert (tree._tree is None) == (mode == "native"), key
+        out.append((key, tree.tree.parent, tree._records, tree._labels))
+    assert out, "no cluster trees built"
+    return out
+
+
+@pytest.mark.parametrize("graph", sorted(_TREE_GRAPHS))
+@pytest.mark.parametrize("name", _TREE_SCHEMES)
+def test_cluster_trees_identical_across_engines(monkeypatch, name, graph):
+    _require_native()
+    g = _TREE_GRAPHS[graph]()
+    trees = {
+        mode: _cluster_trees(monkeypatch, mode, name, g, 5, "dense")
+        for mode in ("native", "numpy", "pure")
+    }
+    assert_identical(trees["native"], trees["numpy"])
+    assert_identical(trees["native"], trees["pure"])
+
+
+@pytest.mark.parametrize("ports_seed", [None, 17])
+def test_cluster_trees_identical_on_a_lazy_metric(monkeypatch, ports_seed):
+    _require_native()
+    g = _TREE_GRAPHS["er-int-weighted"]()
+    for name in ("tz2", "thm11"):
+        nat = _cluster_trees(monkeypatch, "native", name, g, ports_seed, "lazy")
+        ref = _cluster_trees(monkeypatch, "pure", name, g, ports_seed, "lazy")
+        assert_identical(nat, ref)
+
+
+def _non_closed(source):
+    """The path 0-1-2-3-4 with members {0, 4}: 4's parent 3 missing."""
+    m = MetricView(path(5), mode="dense")
+    members = [0, 4]
+    dists = None
+    if source == "sweep":  # what the cluster structures pass
+        ((_, verts, row),) = m.iter_bounded_rows(float("inf"), [0])
+        dists = row[np.searchsorted(verts, members)]
+    return m, members, dists
+
+
+@pytest.mark.parametrize("source", ["row", "sweep"])
+def test_cluster_tree_non_closed_error_parity(monkeypatch, source):
+    _require_native()
+    m, members, dists = _non_closed(source)
+    with pytest.raises(ValueError) as ref:
+        m.restricted_spt_parents(0, members, dists)
+    _set_mode(monkeypatch, "native")
+    m, members, dists = _non_closed(source)
+    with pytest.raises(ValueError) as nat:
+        native_cluster_tree(m, 0, members, dists, PortAssignment(m.graph))
+    assert str(nat.value) == str(ref.value)
+    assert str(nat.value) == (
+        "member set not shortest-path closed toward 0: induced distance "
+        "of 4 is inf, global is 4.0"
+    )
+
+
+def test_cluster_tree_outside_the_fast_domain_falls_back(monkeypatch):
+    """Unsorted members, a missing root or a distance count mismatch
+    leave the kernel (``None``): the reference raises or answers."""
+    _require_native()
+    _set_mode(monkeypatch, "native")
+    m = MetricView(grid(4, 4), mode="dense")
+    ports = PortAssignment(m.graph)
+    assert native_cluster_tree(m, 0, [1, 0], None, ports) is None
+    assert native_cluster_tree(m, 0, [1, 2], None, ports) is None
+    assert native_cluster_tree(m, 0, [0, 1], [0.0], ports) is None
+    assert native_cluster_tree(m, 0, [0, 1], [0.0, 1.0], ports) is not None
+    _set_mode(monkeypatch, "pure")
+    assert native_cluster_tree(m, 0, [0, 1], [0.0, 1.0], ports) is None
+
+
+def test_cluster_trees_on_a_compiler_less_host(fresh_native, tmp_path):
+    """``auto`` without a compiler or a cached library runs the numpy
+    engine and the reference trees, identical to the native ones."""
+    _require_native()
+    g = _TREE_GRAPHS["er-weighted"]()
+    nat = _cluster_trees(fresh_native, "native", "tz2", g, 5, "dense")
+    fresh_native.setenv("REPRO_NATIVE_CC", "off")
+    fresh_native.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "empty"))
+    native.reset_native()
+    _set_mode(fresh_native, "auto")
+    assert kernel_mode() == "numpy"
+    ref = _cluster_trees(fresh_native, "auto", "tz2", g, 5, "dense")
+    assert_identical(nat, ref)
+
+
+def _packed_store(monkeypatch, tmp_path, mode, name, metric_mode):
+    """Build ``name`` at n=600 under ``mode`` and write it packed: the
+    store's files by relative path, and the metric's row counters."""
+    from repro.api import build
+
+    g = erdos_renyi(600, 5 / 599, seed=91)
+    if name == "thm11":
+        g = with_random_weights(g, seed=92)
+    _set_mode(monkeypatch, mode)
+    metric = MetricView(g, mode=metric_mode)
+    session = build(name, g, metric=metric, seed=3)
+    root = tmp_path / f"{name}-{mode}-{metric_mode}"
+    session.save(str(root), shards=True, packed=True)
+    files = {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+    assert "manifest.json" in files
+    assert any(k.startswith("groups") for k in files)
+    return files, metric.rows_computed, metric.bounded_rows_computed
+
+
+@pytest.mark.parametrize("name", ["tz2", "thm11"])
+def test_packed_shards_byte_identical_pure_vs_native(
+    monkeypatch, tmp_path, name
+):
+    """The whole-pipeline invariant: a build whose cluster trees came
+    from the kernel writes the same packed store, byte for byte, after
+    computing as many metric rows as the pure build."""
+    _require_native()
+    pure = _packed_store(monkeypatch, tmp_path, "pure", name, "auto")
+    nat = _packed_store(monkeypatch, tmp_path, "native", name, "auto")
+    assert nat == pure
+
+
+def test_lazy_tz2_row_counts_unchanged_by_the_tree_kernel(
+    monkeypatch, tmp_path
+):
+    """On a lazy metric the cluster trees read only the sweep's
+    distances in both engines: the kernel adds no row, bounded or full
+    (pure dispatch filters full rows, so numpy is the counter twin)."""
+    _require_native()
+    ref = _packed_store(monkeypatch, tmp_path, "numpy", "tz2", "lazy")
+    nat = _packed_store(monkeypatch, tmp_path, "native", "tz2", "lazy")
+    assert nat == ref
+    assert nat[2] > 0
